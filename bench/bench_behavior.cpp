@@ -148,25 +148,26 @@ void BM_ContentIdentifyBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_ContentIdentifyBaseline);
 
-/// Behavior-channel identify (IDENTIFYTS path).
+/// Behavior-channel identify (an IDENTIFY B probe, k = 1).
 void BM_BehaviorIdentify(benchmark::State& state) {
     FusedService& live = fused_service();
+    const sv::DigestProbe probe{.content = std::nullopt, .behavior = live.behavior_probe, .k = 1};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(live.service->identify_behavior(live.behavior_probe));
+        benchmark::DoNotOptimize(live.service->identify(probe));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BehaviorIdentify);
 
-/// Fused identify over both channels (IDENTIFY2 path) — scores both
-/// indexes and combines. Gated: must stay within 1.25x of the
+/// Fused identify over both channels (an IDENTIFY C+B probe) — scores
+/// both indexes and combines. Gated: must stay within 1.25x of the
 /// content-only baseline (>= 0.8x its QPS).
 void BM_FusedIdentify(benchmark::State& state) {
     FusedService& live = fused_service();
-    const std::optional<FuzzyDigest> content = live.content_probe;
-    const std::optional<FuzzyDigest> behavior = live.behavior_probe;
+    const sv::DigestProbe probe{
+        .content = live.content_probe, .behavior = live.behavior_probe, .k = 5};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(live.service->identify_fused(content, behavior, 5));
+        benchmark::DoNotOptimize(live.service->identify(probe));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -181,16 +182,16 @@ BENCHMARK(BM_FusedIdentify);
 /// reading absolute latencies, not for the gate.
 void BM_FusedIdentifyOverhead(benchmark::State& state) {
     FusedService& live = fused_service();
-    const std::optional<FuzzyDigest> content = live.content_probe;
-    const std::optional<FuzzyDigest> behavior = live.behavior_probe;
+    const sv::DigestProbe probe{
+        .content = live.content_probe, .behavior = live.behavior_probe, .k = 5};
     using clock = std::chrono::steady_clock;
     std::chrono::nanoseconds content_ns{0};
     std::chrono::nanoseconds fused_ns{0};
     for (auto _ : state) {
         const auto t0 = clock::now();
-        benchmark::DoNotOptimize(live.service->identify(*content));
+        benchmark::DoNotOptimize(live.service->identify(live.content_probe));
         const auto t1 = clock::now();
-        benchmark::DoNotOptimize(live.service->identify_fused(content, behavior, 5));
+        benchmark::DoNotOptimize(live.service->identify(probe));
         const auto t2 = clock::now();
         content_ns += t1 - t0;
         fused_ns += t2 - t1;
@@ -220,14 +221,14 @@ void BM_BehaviorAccuracyMutated(benchmark::State& state) {
         content_top1 = 0;
         fused_top1 = 0;
         for (std::size_t i = 0; i < kFamilies; ++i) {
-            const std::optional<FuzzyDigest> content =
-                mutate(rng, live.content[i], 40);  // far past match threshold
-            const std::optional<FuzzyDigest> behavior =
-                siren::behavior::shapelet_digest(family_trace(i, /*run_seed=*/9));
+            const sv::DigestProbe probe{
+                .content = mutate(rng, live.content[i], 40),  // far past match threshold
+                .behavior = siren::behavior::shapelet_digest(family_trace(i, /*run_seed=*/9)),
+                .k = 1};
             const std::string want = "app-" + std::to_string(i);
-            const auto content_only = live.service->identify(*content);
+            const auto content_only = live.service->identify(*probe.content);
             if (content_only && content_only->name == want) ++content_top1;
-            const auto fused = live.service->identify_fused(content, behavior, 1);
+            const auto fused = live.service->identify(probe);
             if (!fused.empty() && fused.front().name == want) ++fused_top1;
         }
         benchmark::DoNotOptimize(fused_top1);

@@ -174,7 +174,7 @@ void BM_ServeIdentifyTcp(benchmark::State& state) {
     LiveService& live = live_service(10000);
     sv::QueryServer server(*live.service);
     sv::QueryClient client("127.0.0.1", server.port());
-    const std::string probe = live.probe.to_string();
+    const sv::Probe probe{.content = live.probe.to_string(), .behavior = {}, .k = 1};
     for (auto _ : state) {
         benchmark::DoNotOptimize(client.identify(probe));
     }
@@ -182,47 +182,37 @@ void BM_ServeIdentifyTcp(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeIdentifyTcp);
 
-/// A server fleet for the concurrent-TCP benches. Coalescing is fixed at
-/// RecognitionService construction, so the coalesced and uncoalesced
-/// benches need separate service+server pairs; each is built lazily on
-/// first use (magic statics make this safe under ->Threads(n)).
+/// The service + server the concurrent-TCP benches share, with a batch
+/// pool for IDENTIFYB; built lazily on first use (a magic static, safe
+/// under ->Threads(n)).
 struct TcpFleet {
     std::unique_ptr<sv::RecognitionService> service;
     std::unique_ptr<sv::QueryServer> server;
-    std::string probe;
+    sv::Probe probe;
 };
 
-TcpFleet make_fleet(std::uint32_t batch_window_us, std::size_t batch_max) {
-    LiveService& live = live_service(10000);
-    sv::ServeOptions options;
-    options.writer_idle = std::chrono::milliseconds(1);
-    options.publish_interval = std::chrono::milliseconds(10);
-    options.batch_pool_threads = 2;
-    options.coalesce.batch_window_us = batch_window_us;
-    options.coalesce.batch_max = batch_max;
-    TcpFleet fleet;
-    fleet.service = std::make_unique<sv::RecognitionService>(options);
-    for (const auto& digest : live.corpus) fleet.service->observe(digest);
-    fleet.service->flush();
-    fleet.server = std::make_unique<sv::QueryServer>(*fleet.service);
-    fleet.probe = live.probe.to_string();
+TcpFleet& tcp_fleet() {
+    static TcpFleet fleet = [] {
+        LiveService& live = live_service(10000);
+        sv::ServeOptions options;
+        options.writer_idle = std::chrono::milliseconds(1);
+        options.publish_interval = std::chrono::milliseconds(10);
+        options.batch_pool_threads = 2;
+        TcpFleet built;
+        built.service = std::make_unique<sv::RecognitionService>(options);
+        for (const auto& digest : live.corpus) built.service->observe(digest);
+        built.service->flush();
+        built.server = std::make_unique<sv::QueryServer>(*built.service);
+        built.probe.content = live.probe.to_string();
+        return built;
+    }();
     return fleet;
 }
 
-TcpFleet& plain_fleet() {
-    static TcpFleet fleet = make_fleet(0, 0);
-    return fleet;
-}
-
-TcpFleet& coalesced_fleet() {
-    static TcpFleet fleet = make_fleet(200, 8);
-    return fleet;
-}
-
-/// N concurrent connections, each issuing singleton IDENTIFYs — the
-/// uncoalesced baseline: every frame executes inline on the event loop.
+/// N concurrent connections, each issuing singleton IDENTIFYs; every
+/// frame executes inline on the server's event loop.
 void BM_ServeIdentifyTcpConcurrent(benchmark::State& state) {
-    TcpFleet& fleet = plain_fleet();
+    TcpFleet& fleet = tcp_fleet();
     sv::QueryClient client("127.0.0.1", fleet.server->port(),
                            std::chrono::milliseconds(10000));
     for (auto _ : state) {
@@ -232,26 +222,9 @@ void BM_ServeIdentifyTcpConcurrent(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeIdentifyTcpConcurrent)->Threads(4)->UseRealTime();
 
-/// The same concurrent singleton load against a coalescing server
-/// (batch_window_us=200, batch_max=8): probes arriving within the window
-/// ride one identify_many through the batch pool. CI compares this
-/// items/s against the uncoalesced baseline and the explicit-batch
-/// ceiling below.
-void BM_ServeIdentifyTcpCoalesced(benchmark::State& state) {
-    TcpFleet& fleet = coalesced_fleet();
-    sv::QueryClient client("127.0.0.1", fleet.server->port(),
-                           std::chrono::milliseconds(10000));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(client.identify(fleet.probe));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ServeIdentifyTcpCoalesced)->Threads(4)->UseRealTime();
-
-/// The ceiling coalescing approaches: a client that already batches,
-/// shipping 64 probes per IDENTIFYB round trip.
+/// A client that batches: 64 probes per IDENTIFYB round trip.
 void BM_ServeIdentifyManyTcp(benchmark::State& state) {
-    TcpFleet& fleet = plain_fleet();
+    TcpFleet& fleet = tcp_fleet();
     siren::util::Rng rng(97);
     LiveService& live = live_service(10000);
     std::vector<std::string> probes;

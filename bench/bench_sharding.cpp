@@ -14,7 +14,7 @@
 // items/s at 3 shards over items/s at 1 shard (CI gates >= 2.2x: sharding
 // must buy real write scale-out, not just topology). The /3 run also
 // reports sharded_topn_parity: 1.0 when the ShardedClient's cross-shard
-// TOPN merge is bit-identical to a single registry holding every family —
+// ranked merge is bit-identical to a single registry holding every family —
 // including a probe whose bucket ladder straddles a range boundary.
 // bench/trajectory/BENCH_sharding.json is the committed trajectory point.
 
@@ -45,7 +45,7 @@ namespace sv = siren::serve;
 /// requires, so cross-shard folds and matches are impossible by
 /// construction. That keeps observe-time family folding shard-local —
 /// identical under one registry or three — which is what makes the /1 and
-/// /3 workloads comparable and the TOPN parity check meaningful.
+/// /3 workloads comparable and the ranked-merge parity check meaningful.
 /// (Within a group, index collisions just fold the same way on both
 /// sides.)
 sf::FuzzyDigest nth_digest(std::uint64_t block_size, std::size_t group, int i) {
@@ -200,7 +200,7 @@ void BM_ShardedObserve(benchmark::State& state) {
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total));
 
-    // Cross-shard TOPN parity, reported from the 3-shard run: a sharded
+    // Cross-shard ranking parity, reported from the 3-shard run: a sharded
     // client's merged ranking over the fleet vs a single registry holding
     // every family, probed with the whole corpus plus the boundary
     // straddler. Any mismatch zeroes the counter (CI gates == 1).
@@ -227,7 +227,7 @@ void BM_ShardedObserve(benchmark::State& state) {
             const auto oracle_view = render(oracle_client.identify(probe));
             if (fleet != oracle_view && parity) {
                 std::fprintf(stderr,
-                             "bench_sharding: TOPN parity mismatch on probe %s\n"
+                             "bench_sharding: ranking parity mismatch on probe %s\n"
                              "  fleet:  %s\n  oracle: %s\n",
                              probe.content.c_str(), fleet.c_str(), oracle_view.c_str());
             }

@@ -174,47 +174,6 @@ std::optional<Observation> Registry::best_match_behavior(
     return obs;
 }
 
-std::vector<Observation> Registry::top_families(const fuzzy::FuzzyDigest& digest,
-                                                std::size_t k) const {
-    std::vector<Observation> out;
-    if (k == 0) return out;
-    // The index ranks exemplars best-first, so the first hit per family is
-    // that family's best score. No top_n cap on the index query: the k
-    // requested *families* may hide behind many exemplars of one family.
-    const auto matches = index_.query(digest, options_.match_threshold, 0);
-    std::vector<bool> seen(families_.size(), false);
-    for (const auto& m : matches) {
-        const FamilyId fam = exemplar_owner_[m.id];
-        if (seen[fam]) continue;
-        seen[fam] = true;
-        Observation obs;
-        obs.family = fam;
-        obs.best_score = m.score;
-        out.push_back(obs);
-        if (out.size() == k) break;
-    }
-    return out;
-}
-
-std::vector<Observation> Registry::top_families_behavior(const fuzzy::FuzzyDigest& digest,
-                                                         std::size_t k) const {
-    std::vector<Observation> out;
-    if (k == 0) return out;
-    const auto matches = behavior_index_.query(digest, options_.match_threshold, 0);
-    std::vector<bool> seen(families_.size(), false);
-    for (const auto& m : matches) {
-        const FamilyId fam = behavior_owner_[m.id];
-        if (seen[fam]) continue;
-        seen[fam] = true;
-        Observation obs;
-        obs.family = fam;
-        obs.best_score = m.score;
-        out.push_back(obs);
-        if (out.size() == k) break;
-    }
-    return out;
-}
-
 int Registry::fuse_scores(int content_score, int behavior_score, bool both_probed) const {
     // With a single probe only that channel can score, so the fused value
     // is a pass-through. With both probes supplied, a channel that found

@@ -114,18 +114,9 @@ public:
     /// best_match over the behavior channel.
     std::optional<Observation> best_match_behavior(const fuzzy::FuzzyDigest& digest) const;
 
-    /// The `k` best families for a probe (each family once, scored by its
-    /// best exemplar, best first; ties by ascending exemplar id). The
-    /// identification view for ambiguous probes — "which known software
-    /// does this unknown binary resemble, ranked".
-    std::vector<Observation> top_families(const fuzzy::FuzzyDigest& digest,
-                                          std::size_t k) const;
-
-    /// top_families over the behavior channel.
-    std::vector<Observation> top_families_behavior(const fuzzy::FuzzyDigest& digest,
-                                                   std::size_t k) const;
-
-    /// Fused identification: rank families by the weighted combination of
+    /// The `k` best families for a probe, each family once — the ranked
+    /// identification view ("which known software does this binary
+    /// resemble, ranked"). Families rank by the weighted combination of
     /// their best content score against `content` and best behavior score
     /// against `behavior` (either probe may be null — the other channel
     /// then carries the ranking alone). Each channel applies

@@ -231,13 +231,12 @@ ChaosReport run_chaos(const ChaosOptions& options) {
                     (void)client->observe_behavior(
                         behavior_corpus[rng.index(behavior_corpus.size())].to_string(),
                         "beh-" + std::to_string(rng.below(4)));
-                } else if (kind < 7) {
-                    (void)client->identify(digest.to_string());
-                } else if (kind == 7) {
-                    (void)client->top_n(digest.to_string(), 3);
-                } else if (kind == 8) {
-                    (void)client->identify_fused(digest.to_string(),
-                                                 behavior_corpus[0].to_string(), 3);
+                } else if (kind < 9) {
+                    // Content top-1, content top-3, or a fused top-3.
+                    Probe probe{.content = digest.to_string(), .behavior = {},
+                                .k = kind < 7 ? 1u : 3u};
+                    if (kind == 8) probe.behavior = behavior_corpus[0].to_string();
+                    (void)client->identify(probe);
                 } else {
                     (void)client->stats_text();
                 }

@@ -17,7 +17,7 @@ struct ChaosOptions {
     /// Schedule seed — the whole campaign (op mix, fault choices, kill
     /// targets, client jitter) derives from it, so a failing seed replays.
     std::uint64_t seed = 1;
-    /// Client operations to issue (observe/identify/top_n/stats mix).
+    /// Client operations to issue (observe/identify/stats mix).
     std::size_t ops = 200;
     /// Follower replicas behind the leader.
     std::size_t followers = 2;

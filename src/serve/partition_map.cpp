@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -33,6 +34,15 @@ std::vector<ReplicaEndpoint> parse_replica_list(std::string_view list) {
     }
     if (out.empty()) throw util::ParseError("empty replica list");
     return out;
+}
+
+bool parse_shard_id(std::string_view text, std::uint32_t& out) {
+    unsigned long long id = 0;
+    if (!util::parse_decimal(text, id) || id > std::numeric_limits<std::uint32_t>::max()) {
+        return false;
+    }
+    out = static_cast<std::uint32_t>(id);
+    return true;
 }
 
 std::vector<ReplicaEndpoint> ShardInfo::replicas() const {
@@ -236,13 +246,11 @@ PartitionMap PartitionMap::parse(std::string_view text) {
                 throw util::ParseError("partition map: bad shard line '" + std::string(line) +
                                        "' (want: shard ID LEADER FOLLOWERS|-)");
             }
-            long id = 0;
-            if (!util::parse_decimal(words[1], id) || id < 0) {
+            ShardInfo shard;
+            if (!parse_shard_id(words[1], shard.id)) {
                 throw util::ParseError("partition map: bad shard id '" + std::string(words[1]) +
                                        "'");
             }
-            ShardInfo shard;
-            shard.id = static_cast<std::uint32_t>(id);
             if (find_shard(shard.id) != nullptr) {
                 throw util::ParseError("partition map: duplicate shard " +
                                        std::to_string(shard.id));
@@ -253,13 +261,13 @@ PartitionMap PartitionMap::parse(std::string_view text) {
         } else if (word == "range") {
             unsigned long long lo = 0;
             unsigned long long hi = 0;
-            long id = 0;
-            if (words.size() != 4 || !util::parse_decimal(words[1], id) || id < 0 ||
+            std::uint32_t id = 0;
+            if (words.size() != 4 || !parse_shard_id(words[1], id) ||
                 !util::parse_decimal(words[2], lo) || !util::parse_decimal(words[3], hi)) {
                 throw util::ParseError("partition map: bad range line '" + std::string(line) +
                                        "' (want: range SHARD LO HI)");
             }
-            ShardInfo* shard = find_shard(static_cast<std::uint32_t>(id));
+            ShardInfo* shard = find_shard(id);
             if (shard == nullptr) {
                 throw util::ParseError("partition map: range names unknown shard " +
                                        std::to_string(id));

@@ -19,6 +19,11 @@ struct ReplicaEndpoint {
 /// malformed (empty host, non-numeric/zero port).
 std::vector<ReplicaEndpoint> parse_replica_list(std::string_view list);
 
+/// Parse a decimal shard id. False for anything that is not a number or
+/// does not fit 32 bits — a wider id must fail loudly, not wrap onto
+/// another shard.
+bool parse_shard_id(std::string_view text, std::uint32_t& out);
+
 /// Inclusive block-size interval [lo, hi] — the partition key unit.
 ///
 /// Block size is the partition key because it is what the similarity

@@ -36,6 +36,27 @@ Identified parse_identified(std::istringstream& fields) {
     return result;
 }
 
+/// The body lines of a counted reply ("OK n" + n lines). Throws
+/// util::Error prefixed with `what` on an ERR reply, a bad header or a
+/// truncated body — the error carries the reply, so ReplicaClient can
+/// match the protocol markers in it.
+std::vector<std::string_view> counted_lines(std::string_view reply, const std::string& what) {
+    const auto newline = reply.find('\n');
+    const auto header = reply.substr(0, newline);
+    unsigned long long count = 0;
+    if (!header.starts_with("OK ") || !util::parse_decimal(header.substr(3), count)) {
+        throw util::Error(what + ": " + std::string(reply));
+    }
+    std::vector<std::string_view> lines;
+    if (newline != std::string_view::npos) {
+        util::split_view_into(reply.substr(newline + 1), '\n', lines);
+    }
+    if (!lines.empty() && lines.back().empty()) lines.pop_back();  // trailing newline
+    if (lines.size() < count) throw util::Error(what + ": truncated reply");
+    lines.resize(count);
+    return lines;
+}
+
 }  // namespace
 
 QueryClient::QueryClient(const std::string& host, std::uint16_t port,
@@ -115,28 +136,7 @@ std::vector<FusedIdentified> QueryClient::identify(const Probe& probe) {
     }
     if (probe.k == 0) throw util::Error("identify: k must be positive");
 
-    // One-channel k=1 probes ride the historical singleton verbs — byte
-    // for byte what the pre-Probe wrappers sent, so old and new callers
-    // are indistinguishable on the wire (and in the server's verb stats).
-    if (probe.k == 1 && (probe.content.empty() || probe.behavior.empty())) {
-        const bool behavioral = probe.content.empty();
-        const std::string reply = request((behavioral ? "IDENTIFYTS " : "IDENTIFY ") +
-                                          (behavioral ? probe.behavior : probe.content));
-        std::istringstream fields(reply);
-        std::string status;
-        fields >> status;
-        if (status == "UNKNOWN") return {};
-        if (status != "OK") throw util::Error("identify: " + reply);
-        const Identified match = parse_identified(fields);
-        FusedIdentified fused;
-        fused.family = match.family;
-        fused.score = match.score;
-        (behavioral ? fused.behavior_score : fused.content_score) = match.score;
-        fused.name = match.name;
-        return {std::move(fused)};
-    }
-
-    std::string payload = "IDENTIFY2";
+    std::string payload = "IDENTIFY";
     if (!probe.content.empty()) {
         payload += " C ";
         payload += probe.content;
@@ -146,32 +146,22 @@ std::vector<FusedIdentified> QueryClient::identify(const Probe& probe) {
         payload += probe.behavior;
     }
     payload.push_back(' ');
-    payload += std::to_string(probe.k);
+    util::append_number(payload, probe.k);
     const std::string reply = request(payload);
-    std::istringstream lines(reply);
-    std::string header;
-    std::getline(lines, header);
-    std::istringstream head(header);
-    std::string status;
-    std::size_t count = 0;
-    head >> status >> count;
-    if (status != "OK") throw util::Error("identify: " + reply);
     std::vector<FusedIdentified> out;
-    std::string line;
-    while (std::getline(lines, line) && out.size() < count) {
-        std::istringstream fields(line);
+    for (const auto line : counted_lines(reply, "identify")) {
+        std::istringstream fields{std::string(line)};
         std::string kind;
         std::string name;
         FusedIdentified match;
         if (!(fields >> kind >> match.family >> match.score >> match.content_score >>
               match.behavior_score >> name) ||
             kind != "match") {
-            throw util::Error("identify: bad line '" + line + "'");
+            throw util::Error("identify: bad line '" + std::string(line) + "'");
         }
         match.name = std::move(name);
         out.push_back(std::move(match));
     }
-    if (out.size() != count) throw util::Error("identify: truncated reply");
     return out;
 }
 
@@ -179,47 +169,43 @@ std::vector<std::optional<Identified>> QueryClient::identify_many(
     const std::vector<std::string>& digests) {
     if (digests.empty()) return {};
     // IDENTIFYB answers in counted framing even for one digest, so the
-    // truncated-reply check below covers the single-probe case too; the
-    // old shortcut through identify() accepted a bare reply and could not
-    // tell a complete answer from a cut-off batch.
+    // truncated-reply check covers the single-probe case too.
     std::string payload = "IDENTIFYB";
     for (const auto& digest : digests) {
         payload.push_back(' ');
         payload += digest;
     }
     const std::string reply = request(payload);
-    std::istringstream lines(reply);
-    std::string header;
-    std::getline(lines, header);
-    std::istringstream head(header);
-    std::string status;
-    std::size_t count = 0;
-    head >> status >> count;
-    if (status != "OK" || count != digests.size()) {
-        throw util::Error("identify_many: " + reply);
-    }
+    const auto lines = counted_lines(reply, "identify_many");
+    if (lines.size() != digests.size()) throw util::Error("identify_many: " + reply);
     std::vector<std::optional<Identified>> out;
-    out.reserve(count);
-    std::string line;
-    while (std::getline(lines, line) && out.size() < count) {
+    out.reserve(lines.size());
+    for (const auto line : lines) {
         if (line == "unknown") {
             out.emplace_back(std::nullopt);
             continue;
         }
-        std::istringstream fields(line);
+        std::istringstream fields{std::string(line)};
         std::string kind;
         fields >> kind;
-        if (kind != "match") throw util::Error("identify_many: bad line '" + line + "'");
+        if (kind != "match") {
+            throw util::Error("identify_many: bad line '" + std::string(line) + "'");
+        }
         out.emplace_back(parse_identified(fields));
     }
-    if (out.size() != count) throw util::Error("identify_many: truncated reply");
     return out;
 }
 
-namespace {
+Identified QueryClient::observe(std::string_view digest, std::string_view hint) {
+    return observe_verb("OBSERVE", digest, hint);
+}
 
-std::string observe_payload(std::string_view verb, std::string_view digest,
-                            std::string_view hint) {
+Identified QueryClient::observe_behavior(std::string_view digest, std::string_view hint) {
+    return observe_verb("OBSERVETS", digest, hint);
+}
+
+Identified QueryClient::observe_verb(std::string_view verb, std::string_view digest,
+                                     std::string_view hint) {
     std::string payload = std::string(verb) + ' ' + std::string(digest);
     if (!hint.empty()) {
         payload.push_back(' ');
@@ -229,13 +215,7 @@ std::string observe_payload(std::string_view verb, std::string_view digest,
         // token.
         payload += recognize::sanitize_label(hint);
     }
-    return payload;
-}
-
-}  // namespace
-
-Identified QueryClient::observe(std::string_view digest, std::string_view hint) {
-    const std::string reply = request(observe_payload("OBSERVE", digest, hint));
+    const std::string reply = request(payload);
     std::istringstream fields(reply);
     std::string status;
     fields >> status;
@@ -249,47 +229,6 @@ Identified QueryClient::observe(std::string_view digest, std::string_view hint) 
     result.new_family = novelty == "new";
     result.name = std::move(name);
     return result;
-}
-
-Identified QueryClient::observe_behavior(std::string_view digest, std::string_view hint) {
-    const std::string reply = request(observe_payload("OBSERVETS", digest, hint));
-    std::istringstream fields(reply);
-    std::string status;
-    fields >> status;
-    if (status != "OK") throw util::Error("observe_behavior: " + reply);
-    Identified result;
-    std::string novelty;
-    std::string name;
-    if (!(fields >> result.family >> result.score >> novelty >> name)) {
-        throw util::ParseError("malformed observe_behavior reply: " + reply);
-    }
-    result.new_family = novelty == "new";
-    result.name = std::move(name);
-    return result;
-}
-
-std::vector<Identified> QueryClient::top_n(std::string_view digest, std::size_t k) {
-    const std::string reply =
-        request("TOPN " + std::string(digest) + ' ' + std::to_string(k));
-    std::istringstream lines(reply);
-    std::string header;
-    std::getline(lines, header);
-    std::istringstream head(header);
-    std::string status;
-    std::size_t count = 0;
-    head >> status >> count;
-    if (status != "OK") throw util::Error("top_n: " + reply);
-    std::vector<Identified> out;
-    std::string line;
-    while (std::getline(lines, line) && out.size() < count) {
-        std::istringstream fields(line);
-        std::string kind;
-        fields >> kind;
-        if (kind != "match") throw util::Error("top_n: bad line '" + line + "'");
-        out.push_back(parse_identified(fields));
-    }
-    if (out.size() != count) throw util::Error("top_n: truncated reply");
-    return out;
 }
 
 std::string QueryClient::stats_text() {

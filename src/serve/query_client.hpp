@@ -11,26 +11,16 @@
 
 namespace siren::serve {
 
-/// One identification request — the single typed probe shape behind what
-/// used to be a zoo of identify variants (identify / identify_behavior /
-/// identify_fused each with their own signature). Either channel may be
-/// absent (empty string); at least one must be present. `k` bounds the
-/// ranked result. The partition router (ShardedClient) fans out Probes
-/// only — every legacy identify signature is a thin wrapper that builds
-/// one, so sharding never needs per-variant routing.
+/// One identification request, the client face of the IDENTIFY verb.
+/// Either channel may be absent (empty string); at least one must be
+/// present. `k` bounds the ranked result. Every client (QueryClient,
+/// ReplicaClient, ShardedClient) identifies through this one shape, so
+/// partition routing never special-cases a probe.
 struct Probe {
     std::string content;   ///< canonical content digest; empty = channel absent
     std::string behavior;  ///< shapelet digest; empty = channel absent
     std::size_t k = 1;     ///< families in the ranked reply, best first
 };
-
-/// Front of a fused ranking in the legacy singleton shape; nullopt when
-/// the ranking is empty. The bridge under the wrapper methods.
-inline std::optional<Identified> first_identified(const std::vector<FusedIdentified>& matches) {
-    if (matches.empty()) return std::nullopt;
-    return Identified{matches.front().family, matches.front().score, false,
-                      matches.front().name};
-}
 
 /// Synchronous client for the recognition query protocol — the library
 /// behind `siren_query --identify HOST:PORT DIGEST` and the serve tests.
@@ -50,36 +40,18 @@ public:
     /// failure/timeout, util::ParseError on a garbage frame.
     std::string request(std::string_view payload);
 
-    /// THE identification entry point: one typed probe, one ranked reply
-    /// with per-channel provenance. Picks the cheapest wire verb for the
-    /// probe's shape (singleton IDENTIFY / IDENTIFYTS for one-channel k=1,
-    /// IDENTIFY2 otherwise) — callers never choose verbs. Throws
-    /// util::Error on an empty probe (neither channel) or k = 0.
+    /// THE identification entry point: one IDENTIFY round trip, one ranked
+    /// reply with per-channel provenance; empty when nothing matches.
+    /// Throws util::Error on an empty probe (neither channel), k = 0, or
+    /// an "ERR ..." reply.
     std::vector<FusedIdentified> identify(const Probe& probe);
 
-    // Legacy signatures, kept as thin wrappers over identify(Probe) —
-    // same wire traffic, same replies, one implementation. Digests travel
-    // as their canonical string form; "ERR ..." surfaces as util::Error.
-    std::optional<Identified> identify(std::string_view digest) {
-        return first_identified(identify(Probe{.content = std::string(digest)}));
-    }
-    std::optional<Identified> identify_behavior(std::string_view digest) {
-        return first_identified(identify(Probe{.behavior = std::string(digest)}));
-    }
-    std::vector<FusedIdentified> identify_fused(std::string_view content_digest,
-                                                std::string_view behavior_digest,
-                                                std::size_t k = 5) {
-        return identify(Probe{.content = std::string(content_digest),
-                              .behavior = std::string(behavior_digest),
-                              .k = k});
-    }
     /// Batch transport (IDENTIFYB): positional replies for many content
-    /// probes in one round trip. A genuinely different wire shape — not a
-    /// Probe wrapper — but resolved server-side by the same identify path.
+    /// probes in one round trip.
     std::vector<std::optional<Identified>> identify_many(
         const std::vector<std::string>& digests);
+    /// Content sighting (OBSERVE).
     Identified observe(std::string_view digest, std::string_view hint = {});
-    std::vector<Identified> top_n(std::string_view digest, std::size_t k);
     /// Behavioral sighting (OBSERVETS); the digest is a shapelet digest
     /// (behavior::shapelet_digest_string).
     Identified observe_behavior(std::string_view digest, std::string_view hint = {});
@@ -95,6 +67,11 @@ public:
     std::uint64_t fingerprint_range(std::uint64_t lo, std::uint64_t hi);
 
 private:
+    /// Shared body of observe()/observe_behavior(): `verb` is OBSERVE or
+    /// OBSERVETS.
+    Identified observe_verb(std::string_view verb, std::string_view digest,
+                            std::string_view hint);
+
     int fd_ = -1;
     std::chrono::milliseconds timeout_;
     std::string buffer_;

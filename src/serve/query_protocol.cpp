@@ -12,20 +12,6 @@
 
 namespace siren::serve {
 
-namespace {
-
-void append_match(std::string& out, const Identified& match) {
-    out += "match ";
-    util::append_number(out, match.family);
-    out.push_back(' ');
-    util::append_number(out, match.score);
-    out.push_back(' ');
-    out += match.name;
-    out.push_back('\n');
-}
-
-}  // namespace
-
 void append_frame(std::string& out, std::string_view payload) {
     util::append_u32le(out, static_cast<std::uint32_t>(payload.size()));
     out.append(payload);
@@ -48,8 +34,8 @@ namespace {
 
 /// A response must itself fit the frame limit — the server must never emit
 /// a frame its own protocol (and QueryClient::parse_frame) declares
-/// invalid. A huge-but-legal batch IDENTIFY or TOPN gets a clear error
-/// instead of a torn connection on the client side.
+/// invalid. A huge-but-legal IDENTIFYB batch or IDENTIFY k gets a clear
+/// error instead of a torn connection on the client side.
 std::string cap_response(std::string response) {
     if (response.size() > kMaxQueryFrameBytes) {
         return "ERR response of " + std::to_string(response.size()) +
@@ -61,11 +47,8 @@ std::string cap_response(std::string response) {
 QueryVerb verb_of(std::string_view verb) {
     if (verb == "IDENTIFY") return QueryVerb::kIdentify;
     if (verb == "IDENTIFYB") return QueryVerb::kIdentifyB;
-    if (verb == "IDENTIFYTS") return QueryVerb::kIdentifyTs;
-    if (verb == "IDENTIFY2") return QueryVerb::kIdentify2;
     if (verb == "OBSERVE") return QueryVerb::kObserve;
     if (verb == "OBSERVETS") return QueryVerb::kObserveTs;
-    if (verb == "TOPN") return QueryVerb::kTopN;
     if (verb == "STATS") return QueryVerb::kStats;
     if (verb == "CHECKPOINT") return QueryVerb::kCheckpoint;
     if (verb == "PARTMAP") return QueryVerb::kPartMap;
@@ -87,57 +70,31 @@ std::string execute_query(RecognitionService& service, std::string_view request)
     service.count_verb(verb_of(verb));
 
     try {
-        if (verb == "IDENTIFY" || verb == "IDENTIFYB") {
-            if (words.size() < 2) {
-                return "ERR " + std::string(verb) + " needs at least one digest";
-            }
-            // IDENTIFYB always answers in counted batch framing, even for
-            // one digest; bare IDENTIFY keeps the historical split.
-            if (verb == "IDENTIFY" && words.size() == 2) {
-                const auto match = service.identify(fuzzy::FuzzyDigest::parse(words[1]));
-                return cap_response(format_identify_reply(match));
-            }
-            std::vector<fuzzy::FuzzyDigest> digests;
-            digests.reserve(words.size() - 1);
-            for (std::size_t i = 1; i < words.size(); ++i) {
-                digests.push_back(fuzzy::FuzzyDigest::parse(words[i]));
-            }
-            const auto matches = service.identify_many(digests, service.batch_pool());
-            return cap_response(format_identify_many_reply(matches));
-        }
-
-        if (verb == "IDENTIFYTS") {
-            if (words.size() != 2) return "ERR usage: IDENTIFYTS digest";
-            const auto match = service.identify_behavior(fuzzy::FuzzyDigest::parse(words[1]));
-            return cap_response(format_identify_reply(match));
-        }
-
-        if (verb == "IDENTIFY2") {
-            // IDENTIFY2 [C digest] [B digest] [k] — at least one channel.
-            std::optional<fuzzy::FuzzyDigest> content;
-            std::optional<fuzzy::FuzzyDigest> behavior;
-            std::size_t k = 5;
+        if (verb == "IDENTIFY") {
+            // IDENTIFY [C digest] [B digest] [k] — at least one channel.
+            DigestProbe probe;
             std::size_t i = 1;
             if (i + 1 < words.size() && words[i] == "C") {
-                content = fuzzy::FuzzyDigest::parse(words[i + 1]);
+                probe.content = fuzzy::FuzzyDigest::parse(words[i + 1]);
                 i += 2;
             }
             if (i + 1 < words.size() && words[i] == "B") {
-                behavior = fuzzy::FuzzyDigest::parse(words[i + 1]);
+                probe.behavior = fuzzy::FuzzyDigest::parse(words[i + 1]);
                 i += 2;
             }
             if (i < words.size()) {
-                const auto [ptr, ec] =
-                    std::from_chars(words[i].data(), words[i].data() + words[i].size(), k);
-                if (ec != std::errc{} || ptr != words[i].data() + words[i].size() || k == 0) {
-                    return "ERR IDENTIFY2 k must be a positive integer";
+                const auto [ptr, ec] = std::from_chars(
+                    words[i].data(), words[i].data() + words[i].size(), probe.k);
+                if (ec != std::errc{} || ptr != words[i].data() + words[i].size() ||
+                    probe.k == 0) {
+                    return "ERR IDENTIFY k must be a positive integer";
                 }
                 ++i;
             }
-            if (i != words.size() || (!content && !behavior)) {
-                return "ERR usage: IDENTIFY2 [C digest] [B digest] [k]";
+            if (i != words.size() || (!probe.content && !probe.behavior)) {
+                return "ERR usage: IDENTIFY [C digest] [B digest] [k]";
             }
-            const auto matches = service.identify_fused(content, behavior, k);
+            const auto matches = service.identify(probe);
             std::string out = "OK ";
             util::append_number(out, matches.size());
             out.push_back('\n');
@@ -152,6 +109,33 @@ std::string execute_query(RecognitionService& service, std::string_view request)
                 util::append_number(out, match.behavior_score);
                 out.push_back(' ');
                 out += match.name;
+                out.push_back('\n');
+            }
+            return cap_response(std::move(out));
+        }
+
+        if (verb == "IDENTIFYB") {
+            if (words.size() < 2) return "ERR IDENTIFYB needs at least one digest";
+            std::vector<fuzzy::FuzzyDigest> digests;
+            digests.reserve(words.size() - 1);
+            for (std::size_t i = 1; i < words.size(); ++i) {
+                digests.push_back(fuzzy::FuzzyDigest::parse(words[i]));
+            }
+            const auto matches = service.identify_many(digests, service.batch_pool());
+            std::string out = "OK ";
+            util::append_number(out, matches.size());
+            out.push_back('\n');
+            for (const auto& match : matches) {
+                if (!match) {
+                    out += "unknown\n";
+                    continue;
+                }
+                out += "match ";
+                util::append_number(out, match->family);
+                out.push_back(' ');
+                util::append_number(out, match->score);
+                out.push_back(' ');
+                out += match->name;
                 out.push_back('\n');
             }
             return cap_response(std::move(out));
@@ -207,22 +191,6 @@ std::string execute_query(RecognitionService& service, std::string_view request)
             out += result.new_family ? "new" : "known";
             out.push_back(' ');
             out += result.name;
-            return cap_response(std::move(out));
-        }
-
-        if (verb == "TOPN") {
-            if (words.size() != 3) return "ERR usage: TOPN digest k";
-            std::size_t k = 0;
-            const auto [ptr, ec] =
-                std::from_chars(words[2].data(), words[2].data() + words[2].size(), k);
-            if (ec != std::errc{} || ptr != words[2].data() + words[2].size() || k == 0) {
-                return "ERR TOPN k must be a positive integer";
-            }
-            const auto matches = service.top_n(fuzzy::FuzzyDigest::parse(words[1]), k);
-            std::string out = "OK ";
-            util::append_number(out, matches.size());
-            out.push_back('\n');
-            for (const auto& match : matches) append_match(out, match);
             return cap_response(std::move(out));
         }
 
@@ -376,31 +344,6 @@ StatsSnapshot parse_stats(std::string_view text) {
         stats.values.emplace_back(std::string(key), parsed);
     }
     return stats;
-}
-
-std::string format_identify_reply(const std::optional<Identified>& match) {
-    if (!match) return "UNKNOWN";
-    std::string out = "OK ";
-    util::append_number(out, match->family);
-    out.push_back(' ');
-    util::append_number(out, match->score);
-    out.push_back(' ');
-    out += match->name;
-    return out;
-}
-
-std::string format_identify_many_reply(const std::vector<std::optional<Identified>>& matches) {
-    std::string out = "OK ";
-    util::append_number(out, matches.size());
-    out.push_back('\n');
-    for (const auto& match : matches) {
-        if (match) {
-            append_match(out, *match);
-        } else {
-            out += "unknown\n";
-        }
-    }
-    return out;
 }
 
 }  // namespace siren::serve

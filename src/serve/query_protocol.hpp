@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "serve/recognition_service.hpp"  // Identified
+#include "serve/recognition_service.hpp"
 
 namespace siren::serve {
 
@@ -17,24 +17,22 @@ namespace siren::serve {
 /// little-endian payload length, then the payload. Payloads are single
 /// text requests/responses:
 ///
-///   request  := "IDENTIFY" digest+ | "IDENTIFYB" digest+
-///             | "IDENTIFYTS" digest
-///             | "IDENTIFY2" ["C" digest] ["B" digest] [k]
+///   request  := "IDENTIFY" ["C" digest] ["B" digest] [k] | "IDENTIFYB" digest+
 ///             | "OBSERVE" digest [hint] | "OBSERVETS" digest [hint]
-///             | "TOPN" digest k | "STATS" | "CHECKPOINT"
-///   response := "OK" ... | "UNKNOWN" | "ERR" reason
+///             | "STATS" | "CHECKPOINT" | "PARTMAP" | "FPRANGE" lo hi
+///   response := "OK" ... | "ERR" reason
 ///
-/// IDENTIFYTS probes the behavior channel (shapelet digests, see
-/// docs/behavior_fingerprints.md) with a singleton reply; OBSERVETS records
-/// a behavioral sighting. IDENTIFY2 is fused identification: at least one
-/// of the C (content) / B (behavior) probes, optional result count k
-/// (default 5); the counted reply lines are
-/// "match family fused_score content_score behavior_score name".
+/// IDENTIFY is the one identification verb, shaped like serve::Probe: at
+/// least one of the C (content) / B (behavior, a shapelet digest — see
+/// docs/behavior_fingerprints.md) probes, optional result count k
+/// (default 1). It always answers counted: "OK n" + n lines
+/// "match family fused_score content_score behavior_score name", best
+/// first; an unknown probe is "OK 0". OBSERVETS records a behavioral
+/// sighting.
 ///
-/// IDENTIFYB is batch IDENTIFY with an unconditional counted reply
-/// ("OK n" + one line per digest) even for n = 1, so clients can detect
-/// truncated batch replies uniformly; plain IDENTIFY keeps the historical
-/// shape (bare reply for one digest, counted for several).
+/// IDENTIFYB is positional batch identify over content digests: "OK n" +
+/// one "match family score name" / "unknown" line per digest, in request
+/// order, even for n = 1, so clients detect truncated replies uniformly.
 ///
 /// Full grammar and examples in docs/recognition_service.md.
 inline constexpr std::uint32_t kMaxQueryFrameBytes = 1u << 20;
@@ -62,7 +60,7 @@ inline constexpr std::string_view kWrongShardError = "wrong_shard";
 /// Bump rules (docs/recognition_service.md, "STATS schema"): adding keys
 /// keeps the version; renaming/removing keys or changing a key's meaning
 /// bumps it. Parsers must ignore unknown keys.
-inline constexpr std::uint64_t kStatsVersion = 1;
+inline constexpr std::uint64_t kStatsVersion = 2;
 
 /// One parsed STATS reply: the key -> value map of every numeric line,
 /// plus the non-numeric "role" line. Keys with non-numeric values other
@@ -94,15 +92,5 @@ std::optional<std::string_view> parse_frame(std::string_view buffer, std::size_t
 /// Execute one request payload against the service and return the response
 /// payload. Never throws: malformed requests yield "ERR ..." responses.
 std::string execute_query(RecognitionService& service, std::string_view request);
-
-/// Reply payload for one resolved singleton IDENTIFY:
-/// "OK family score name" or "UNKNOWN". Shared by execute_query and the
-/// server-side coalescer so batched singletons answer byte-identically.
-std::string format_identify_reply(const std::optional<Identified>& match);
-
-/// Reply payload for a counted identify batch (IDENTIFYB / multi-digest
-/// IDENTIFY): "OK n\n" + one "match family score name" / "unknown" line
-/// per digest, in request order.
-std::string format_identify_many_reply(const std::vector<std::optional<Identified>>& matches);
 
 }  // namespace siren::serve

@@ -7,13 +7,10 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/timerfd.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <iterator>
 #include <vector>
 
 #include "serve/query_protocol.hpp"
@@ -75,29 +72,6 @@ QueryServer::QueryServer(RecognitionService& service, QueryServerOptions options
     ev.data.fd = event_fd_;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
 
-    batch_window_us_ = service_.options().coalesce.batch_window_us;
-    batch_max_ = service_.options().coalesce.batch_max;
-    coalesce_on_ = batch_window_us_ > 0 && batch_max_ > 0;
-    shed_coalesce_depth_ = service_.options().coalesce.shed_coalesce_depth != 0
-                               ? service_.options().coalesce.shed_coalesce_depth
-                               : 8 * batch_max_;
-    if (coalesce_on_) {
-        // The coalescing window needs sub-millisecond expiry, which the
-        // 200ms epoll_wait timeout cannot provide: a CLOCK_MONOTONIC
-        // timerfd in the same epoll set wakes the loop exactly when the
-        // oldest parked probe's window closes.
-        timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
-        if (timer_fd_ < 0) {
-            const std::string reason = std::strerror(errno);
-            ::close(listen_fd_);
-            ::close(epoll_fd_);
-            ::close(event_fd_);
-            throw util::SystemError("timerfd_create: " + reason);
-        }
-        ev.data.fd = timer_fd_;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &ev);
-    }
-
     loop_ = std::thread([this] { event_loop(); });
 }
 
@@ -117,8 +91,7 @@ void QueryServer::stop() {
     ::close(listen_fd_);
     ::close(epoll_fd_);
     ::close(event_fd_);
-    if (timer_fd_ >= 0) ::close(timer_fd_);
-    listen_fd_ = epoll_fd_ = event_fd_ = timer_fd_ = -1;
+    listen_fd_ = epoll_fd_ = event_fd_ = -1;
 }
 
 QueryServerStats QueryServer::stats() const {
@@ -127,9 +100,6 @@ QueryServerStats QueryServer::stats() const {
     s.rejected = rejected_.load(std::memory_order_relaxed);
     s.requests = requests_.load(std::memory_order_relaxed);
     s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-    s.coalesced_batches = coalesced_batches_.load(std::memory_order_relaxed);
-    s.coalesced_probes = coalesced_probes_.load(std::memory_order_relaxed);
-    s.shed_coalesce = shed_coalesce_.load(std::memory_order_relaxed);
     s.accept_stalls = accept_stalls_.load(std::memory_order_relaxed);
     return s;
 }
@@ -192,14 +162,6 @@ bool QueryServer::process_frames(int fd, Connection& conn) {
             return false;
         }
         if (!payload) break;
-        if (coalesce_on_ && coalesce_frame(fd, conn, *payload)) {
-            consumed += frame;
-            requests_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-        // A non-coalescible frame must not answer before the connection's
-        // parked probes do: leave it buffered until the batch replies.
-        if (conn.pending_replies > 0) break;
         consumed += frame;
         requests_.fetch_add(1, std::memory_order_relaxed);
         append_frame(conn.out, execute_with_stats(*payload));
@@ -215,164 +177,16 @@ bool QueryServer::process_frames(int fd, Connection& conn) {
 std::string QueryServer::execute_with_stats(std::string_view payload) {
     std::string response = execute_query(service_, payload);
     // The service's STATS body is extended with the server-level view:
-    // which SIMD tier the similarity scan dispatched to, and how much the
-    // coalescer is actually batching.
+    // which SIMD tier the similarity scan dispatched to, and how often fd
+    // exhaustion stalled the listener.
     if (util::trim(payload) == "STATS" && response.starts_with("OK\n")) {
         response += "simd_level ";
         response += util::simd::level_name(util::simd::active_level());
+        response += "\naccept_stalls ";
+        util::append_number(response, accept_stalls_.load(std::memory_order_relaxed));
         response.push_back('\n');
-        const auto line = [&response](std::string_view key, std::uint64_t value) {
-            response += key;
-            response.push_back(' ');
-            util::append_number(response, value);
-            response.push_back('\n');
-        };
-        const std::uint64_t batches = coalesced_batches_.load(std::memory_order_relaxed);
-        const std::uint64_t probes = coalesced_probes_.load(std::memory_order_relaxed);
-        line("coalesced_batches", batches);
-        line("coalesced_probes", probes);
-        // Mean batch fill as a percentage of batch_max: 100 means every
-        // flush went out full, low values mean the window is expiring
-        // before traffic fills it.
-        line("coalesce_occupancy",
-             batches > 0 && batch_max_ > 0 ? probes * 100 / (batches * batch_max_) : 0);
-        line("shed_coalesce", shed_coalesce_.load(std::memory_order_relaxed));
-        line("accept_stalls", accept_stalls_.load(std::memory_order_relaxed));
     }
     return response;
-}
-
-bool QueryServer::coalesce_frame(int fd, Connection& conn, std::string_view payload) {
-    // Only singleton IDENTIFY/IDENTIFYB frames coalesce — they are the
-    // high-QPS hot path and their replies are context-free. Everything
-    // else (OBSERVE, STATS, batch identifies, malformed requests) takes
-    // the inline path so its error/result semantics stay untouched.
-    const std::string_view request = util::trim(payload);
-    const std::size_t space = request.find(' ');
-    if (space == std::string_view::npos) return false;
-    const std::string_view verb = request.substr(0, space);
-    if (verb != "IDENTIFY" && verb != "IDENTIFYB") return false;
-    const std::string_view rest = util::trim(request.substr(space + 1));
-    if (rest.empty() || rest.find(' ') != std::string_view::npos) return false;
-
-    // Admission control: past the in-flight bound, shed instead of parking
-    // more identify work. The shed reply is itself parked (error
-    // pre-rendered, immediate deadline) so per-connection reply order
-    // holds even when earlier probes of this connection are still waiting.
-    if (pending_batch_.size() >= shed_coalesce_depth_) {
-        shed_coalesce_.fetch_add(1, std::memory_order_relaxed);
-        PendingProbe shed;
-        shed.fd = fd;
-        shed.gen = conn.gen;
-        shed.error_reply = std::string("ERR ") + std::string(kOverloadedError) +
-                           ": identify coalescer is full, retry later";
-        shed.deadline = std::chrono::steady_clock::now();
-        pending_batch_.push_back(std::move(shed));
-        ++conn.pending_replies;
-        return true;
-    }
-
-    PendingProbe probe;
-    probe.fd = fd;
-    probe.gen = conn.gen;
-    probe.batch_format = verb == "IDENTIFYB";
-    try {
-        probe.digest = fuzzy::FuzzyDigest::parse(rest);
-    } catch (const util::Error& e) {
-        // Parked with the error pre-rendered: the reply still goes out in
-        // arrival order with the rest of the batch.
-        probe.error_reply = std::string("ERR ") + e.what();
-    }
-    probe.deadline =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(batch_window_us_);
-    pending_batch_.push_back(std::move(probe));
-    ++conn.pending_replies;
-    return true;
-}
-
-void QueryServer::flush_batch() {
-    const std::size_t take = std::min(batch_max_, pending_batch_.size());
-    if (take == 0) return;
-    std::vector<PendingProbe> batch;
-    batch.reserve(take);
-    std::move(pending_batch_.begin(),
-              pending_batch_.begin() + static_cast<std::ptrdiff_t>(take),
-              std::back_inserter(batch));
-    pending_batch_.erase(pending_batch_.begin(),
-                         pending_batch_.begin() + static_cast<std::ptrdiff_t>(take));
-
-    std::vector<fuzzy::FuzzyDigest> digests;
-    digests.reserve(batch.size());
-    for (auto& probe : batch) {
-        // Skip probes whose connection died while parked; the (fd, gen)
-        // pair guards against the fd number having been reused.
-        const auto it = connections_.find(probe.fd);
-        if (it == connections_.end() || it->second.gen != probe.gen) {
-            probe.fd = -1;
-            continue;
-        }
-        if (probe.digest) {
-            probe.result_index = static_cast<int>(digests.size());
-            digests.push_back(*probe.digest);
-        }
-    }
-
-    std::vector<std::optional<Identified>> matches;
-    if (!digests.empty()) {
-        matches = service_.identify_many(digests, service_.batch_pool());
-        coalesced_batches_.fetch_add(1, std::memory_order_relaxed);
-        coalesced_probes_.fetch_add(digests.size(), std::memory_order_relaxed);
-    }
-
-    for (const auto& probe : batch) {
-        if (probe.fd < 0) continue;
-        // Re-find per probe: an earlier reply's failed flush may have
-        // closed this connection within the same loop.
-        const auto it = connections_.find(probe.fd);
-        if (it == connections_.end() || it->second.gen != probe.gen) continue;
-        Connection& conn = it->second;
-        if (conn.pending_replies > 0) --conn.pending_replies;
-        std::string reply;
-        if (!probe.error_reply.empty()) {
-            reply = probe.error_reply;
-        } else {
-            const auto& match = matches[static_cast<std::size_t>(probe.result_index)];
-            reply = probe.batch_format
-                        ? format_identify_many_reply({match})
-                        : format_identify_reply(match);
-        }
-        append_frame(conn.out, reply);
-        if (!flush_writes(probe.fd, conn)) close_connection(probe.fd);
-    }
-
-    // Batch replies may have unblocked frames that arrived behind a parked
-    // probe on the same connection.
-    for (auto it = connections_.begin(); it != connections_.end();) {
-        const int fd = it->first;
-        Connection& conn = it->second;
-        ++it;  // process_frames may erase this entry
-        if (conn.pending_replies == 0 && !conn.want_write && !conn.in.empty()) {
-            process_frames(fd, conn);
-        }
-    }
-}
-
-void QueryServer::run_coalescer() {
-    if (!coalesce_on_) return;
-    while (pending_batch_.size() >= batch_max_) flush_batch();
-    const auto now = std::chrono::steady_clock::now();
-    while (!pending_batch_.empty() && pending_batch_.front().deadline <= now) flush_batch();
-
-    // Arm (or disarm) the one-shot window timer for the oldest survivor.
-    itimerspec spec{};
-    if (!pending_batch_.empty()) {
-        auto wait = pending_batch_.front().deadline - std::chrono::steady_clock::now();
-        auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(wait).count();
-        if (ns < 1) ns = 1;  // zero disarms; the deadline is due now
-        spec.it_value.tv_sec = static_cast<time_t>(ns / 1000000000);
-        spec.it_value.tv_nsec = static_cast<long>(ns % 1000000000);
-    }
-    ::timerfd_settime(timer_fd_, 0, &spec, nullptr);
 }
 
 void QueryServer::handle_readable(int fd, Connection& conn) {
@@ -408,13 +222,6 @@ void QueryServer::event_loop() {
         for (int i = 0; i < n && !stopping_.load(std::memory_order_acquire); ++i) {
             const int fd = events[i].data.fd;
             if (fd == event_fd_) continue;  // stop signal: loop condition exits
-            if (fd == timer_fd_) {
-                // Coalescing window expired; run_coalescer below flushes.
-                std::uint64_t expirations = 0;
-                [[maybe_unused]] const ssize_t r =
-                    ::read(timer_fd_, &expirations, sizeof expirations);
-                continue;
-            }
             if (fd == listen_fd_) {
                 accept_ready = true;
                 continue;
@@ -437,11 +244,6 @@ void QueryServer::event_loop() {
             }
             if ((events[i].events & EPOLLIN) != 0) handle_readable(fd, it->second);
         }
-
-        // All flushing happens here, once per wake-up: frames parked during
-        // the event pass above get one shot at riding the same batch, and
-        // process_frames never recurses through a flush.
-        run_coalescer();
 
         // Re-arm a listener that fd exhaustion disarmed once the cooldown
         // passed (some fds have likely been released by then; if not, the
@@ -487,9 +289,7 @@ void QueryServer::event_loop() {
                 ev.events = EPOLLIN;
                 ev.data.fd = client;
                 ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, client, &ev);
-                Connection conn;
-                conn.gen = next_gen_++;
-                connections_.emplace(client, std::move(conn));
+                connections_.emplace(client, Connection{});
                 connections_total_.fetch_add(1, std::memory_order_relaxed);
             }
         }

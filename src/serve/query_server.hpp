@@ -4,13 +4,9 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
-
-#include "fuzzy/ctph.hpp"
 
 namespace siren::serve {
 
@@ -33,9 +29,6 @@ struct QueryServerStats {
     std::uint64_t rejected = 0;          ///< closed at accept: connection limit
     std::uint64_t requests = 0;          ///< frames executed
     std::uint64_t protocol_errors = 0;   ///< oversize/garbage frames (connection dropped)
-    std::uint64_t coalesced_batches = 0; ///< identify_many flushes of parked probes
-    std::uint64_t coalesced_probes = 0;  ///< singleton probes that rode a coalesced batch
-    std::uint64_t shed_coalesce = 0;     ///< probes refused "ERR overloaded": coalescer full
     std::uint64_t accept_stalls = 0;     ///< listener disarmed: fd exhaustion (EMFILE/ENFILE)
 };
 
@@ -72,24 +65,6 @@ private:
         std::string out;       ///< frames pending write
         std::size_t out_pos = 0;
         bool want_write = false;
-        /// Monotonic accept generation: parked batch entries name their
-        /// connection as (fd, gen), so an fd reused by a later accept can
-        /// never receive a predecessor's reply.
-        std::uint64_t gen = 0;
-        /// Probes of this connection parked in the coalescing batch. While
-        /// nonzero, non-coalescible frames stay buffered (reply order).
-        std::size_t pending_replies = 0;
-    };
-
-    /// One singleton IDENTIFY frame parked for the coalesced batch.
-    struct PendingProbe {
-        int fd = -1;
-        std::uint64_t gen = 0;
-        bool batch_format = false;  ///< IDENTIFYB: counted reply framing
-        std::optional<fuzzy::FuzzyDigest> digest;  ///< nullopt: error_reply answers
-        std::string error_reply;
-        std::chrono::steady_clock::time_point deadline{};
-        int result_index = -1;  ///< slot in the batch's identify_many result
     };
 
     void event_loop();
@@ -100,18 +75,9 @@ private:
     bool flush_writes(int fd, Connection& conn);
     void close_connection(int fd);
 
-    /// execute_query + the server-level STATS lines (simd_level and the
-    /// coalescer counters).
+    /// execute_query + the server-level STATS lines (simd_level and
+    /// accept_stalls).
     std::string execute_with_stats(std::string_view payload);
-    /// Park a singleton IDENTIFY/IDENTIFYB frame in the coalescing batch;
-    /// false when the frame is not coalescible and must execute inline.
-    bool coalesce_frame(int fd, Connection& conn, std::string_view payload);
-    /// Resolve up to batch_max parked probes through one identify_many and
-    /// reply per connection, FIFO (per-connection order is preserved).
-    void flush_batch();
-    /// End-of-wake coalescer duty: flush full/expired batches, then arm the
-    /// window timer for whatever stays parked.
-    void run_coalescer();
 
     RecognitionService& service_;
     QueryServerOptions options_;
@@ -119,20 +85,10 @@ private:
     int listen_fd_ = -1;
     int epoll_fd_ = -1;
     int event_fd_ = -1;  ///< stop signal
-    int timer_fd_ = -1;  ///< coalescing window (only when coalescing is on)
     std::map<int, Connection> connections_;
     std::thread loop_;
     std::atomic<bool> stopping_{false};
     std::atomic<bool> stopped_{false};
-
-    bool coalesce_on_ = false;
-    std::uint32_t batch_window_us_ = 0;
-    std::size_t batch_max_ = 0;
-    /// Parked probes at/above this bound shed with "ERR overloaded"
-    /// (ServeOptions::shed_coalesce_depth, default 8 * batch_max).
-    std::size_t shed_coalesce_depth_ = 0;
-    std::vector<PendingProbe> pending_batch_;
-    std::uint64_t next_gen_ = 1;
 
     /// Accepts are disarmed (listener out of the epoll set) after
     /// EMFILE/ENFILE until the re-arm deadline; prevents the level-
@@ -144,9 +100,6 @@ private:
     std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> protocol_errors_{0};
-    std::atomic<std::uint64_t> coalesced_batches_{0};
-    std::atomic<std::uint64_t> coalesced_probes_{0};
-    std::atomic<std::uint64_t> shed_coalesce_{0};
     std::atomic<std::uint64_t> accept_stalls_{0};
 };
 

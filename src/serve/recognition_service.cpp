@@ -74,17 +74,23 @@ bool write_file_atomic(const std::string& path, std::string_view body, std::stri
     return true;
 }
 
+/// Best content match of `digest` in `snap`, named from the same snapshot.
+std::optional<Identified> best_content_match(const RegistrySnapshot& snap,
+                                             const fuzzy::FuzzyDigest& digest) {
+    const auto match = snap.registry.best_match(digest);
+    if (!match) return std::nullopt;
+    return Identified{match->family, match->best_score, false,
+                      snap.registry.family(match->family).name};
+}
+
 }  // namespace
 
 std::string_view query_verb_name(QueryVerb verb) {
     switch (verb) {
         case QueryVerb::kIdentify: return "verb_identify";
         case QueryVerb::kIdentifyB: return "verb_identifyb";
-        case QueryVerb::kIdentifyTs: return "verb_identifyts";
-        case QueryVerb::kIdentify2: return "verb_identify2";
         case QueryVerb::kObserve: return "verb_observe";
         case QueryVerb::kObserveTs: return "verb_observets";
-        case QueryVerb::kTopN: return "verb_topn";
         case QueryVerb::kStats: return "verb_stats";
         case QueryVerb::kCheckpoint: return "verb_checkpoint";
         case QueryVerb::kPartMap: return "verb_partmap";
@@ -98,9 +104,6 @@ std::string_view query_verb_name(QueryVerb verb) {
 void ServeOptions::validate() const {
     if (queue_capacity == 0) throw util::Error("queue_capacity must be positive");
     if (feed_batch_max == 0) throw util::Error("feed_batch_max must be positive");
-    if (coalesce.batch_window_us > 0 && coalesce.batch_max == 0) {
-        throw util::Error("coalescing window needs batch_max > 0");
-    }
     if (replication.observe_wal && segments_dir.empty()) {
         throw util::Error("observe_wal needs segments_dir (the WAL lives there)");
     }
@@ -612,74 +615,32 @@ void RecognitionService::writer_loop() {
 
 std::optional<Identified> RecognitionService::identify(const fuzzy::FuzzyDigest& digest) const {
     identifies_.fetch_add(1, std::memory_order_relaxed);
-    const auto snap = snapshot();
-    const auto match = snap->registry.best_match(digest);
-    if (!match) return std::nullopt;
-    Identified result;
-    result.family = match->family;
-    result.score = match->best_score;
-    result.name = snap->registry.family(match->family).name;
-    return result;
+    return best_content_match(*snapshot(), digest);
 }
 
-std::optional<Identified> RecognitionService::identify_behavior(
-    const fuzzy::FuzzyDigest& digest) const {
+std::vector<FusedIdentified> RecognitionService::identify(const DigestProbe& probe) const {
     identifies_.fetch_add(1, std::memory_order_relaxed);
     const auto snap = snapshot();
-    const auto match = snap->registry.best_match_behavior(digest);
-    if (!match) return std::nullopt;
-    Identified result;
-    result.family = match->family;
-    result.score = match->best_score;
-    result.name = snap->registry.family(match->family).name;
-    return result;
-}
-
-std::vector<FusedIdentified> RecognitionService::identify_fused(
-    const std::optional<fuzzy::FuzzyDigest>& content,
-    const std::optional<fuzzy::FuzzyDigest>& behavior, std::size_t k) const {
-    identifies_.fetch_add(1, std::memory_order_relaxed);
-    const auto snap = snapshot();
+    const auto& registry = snap->registry;
     std::vector<FusedIdentified> out;
-    for (const auto& match : snap->registry.top_families_fused(
-             content ? &*content : nullptr, behavior ? &*behavior : nullptr, k)) {
-        FusedIdentified result;
-        result.family = match.family;
-        result.score = match.score;
-        result.content_score = match.content_score;
-        result.behavior_score = match.behavior_score;
-        result.name = snap->registry.family(match.family).name;
-        out.push_back(std::move(result));
+    if (probe.k == 1 && probe.content.has_value() != probe.behavior.has_value()) {
+        // Single-channel top-1: the channel's best match, whose bounded
+        // index query is far cheaper than a full fused ranking.
+        const bool content = probe.content.has_value();
+        const auto match = content ? registry.best_match(*probe.content)
+                                   : registry.best_match_behavior(*probe.behavior);
+        if (match) {
+            out.push_back({match->family, match->best_score, content ? match->best_score : 0,
+                           content ? 0 : match->best_score,
+                           registry.family(match->family).name});
+        }
+        return out;
     }
-    return out;
-}
-
-std::vector<Identified> RecognitionService::top_n(const fuzzy::FuzzyDigest& digest,
-                                                  std::size_t k) const {
-    identifies_.fetch_add(1, std::memory_order_relaxed);
-    const auto snap = snapshot();
-    std::vector<Identified> out;
-    for (const auto& obs : snap->registry.top_families(digest, k)) {
-        Identified result;
-        result.family = obs.family;
-        result.score = obs.best_score;
-        result.name = snap->registry.family(obs.family).name;
-        out.push_back(std::move(result));
-    }
-    return out;
-}
-
-std::vector<Identified> RecognitionService::top_n_behavior(const fuzzy::FuzzyDigest& digest,
-                                                           std::size_t k) const {
-    identifies_.fetch_add(1, std::memory_order_relaxed);
-    const auto snap = snapshot();
-    std::vector<Identified> out;
-    for (const auto& obs : snap->registry.top_families_behavior(digest, k)) {
-        Identified result;
-        result.family = obs.family;
-        result.score = obs.best_score;
-        result.name = snap->registry.family(obs.family).name;
-        out.push_back(std::move(result));
+    for (const auto& match :
+         registry.top_families_fused(probe.content ? &*probe.content : nullptr,
+                                     probe.behavior ? &*probe.behavior : nullptr, probe.k)) {
+        out.push_back({match.family, match.score, match.content_score, match.behavior_score,
+                       registry.family(match.family).name});
     }
     return out;
 }
@@ -689,15 +650,7 @@ std::vector<std::optional<Identified>> RecognitionService::identify_many(
     identifies_.fetch_add(digests.size(), std::memory_order_relaxed);
     const auto snap = snapshot();
     std::vector<std::optional<Identified>> out(digests.size());
-    const auto resolve = [&](std::size_t i) {
-        const auto match = snap->registry.best_match(digests[i]);
-        if (!match) return;
-        Identified result;
-        result.family = match->family;
-        result.score = match->best_score;
-        result.name = snap->registry.family(match->family).name;
-        out[i] = std::move(result);
-    };
+    const auto resolve = [&](std::size_t i) { out[i] = best_content_match(*snap, digests[i]); };
     if (pool != nullptr && digests.size() > 1) {
         pool->parallel_for(digests.size(), resolve);
     } else {

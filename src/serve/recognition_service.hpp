@@ -25,26 +25,6 @@
 
 namespace siren::serve {
 
-/// Query-server micro-batching of singleton IDENTIFY frames
-/// (docs/recognition_service.md, "request coalescing").
-struct CoalesceOptions {
-    /// Probes arriving within this window (across all connections)
-    /// coalesce into one identify_many pass through batch_pool(), each
-    /// connection getting its own reply. The window bounds the extra
-    /// latency of the first coalesced probe; 0 disables coalescing (every
-    /// frame executes inline, the pre-coalescer behavior).
-    std::uint32_t batch_window_us = 0;
-    /// Probes per coalesced batch; a full batch flushes immediately
-    /// without waiting out the window, so under saturating traffic the
-    /// window cost disappears and this knob sizes the identify_many calls.
-    std::size_t batch_max = 64;
-    /// Admission control for coalesced IDENTIFY: when the query server's
-    /// coalescer already holds this many probes waiting for a batch slot,
-    /// further singleton IDENTIFYs are shed with "ERR overloaded" instead
-    /// of growing the in-flight set without bound. 0 = 8 * batch_max.
-    std::size_t shed_coalesce_depth = 0;
-};
-
 /// Overload shedding on the write path (docs/robustness.md).
 struct ShedOptions {
     /// Admission control for network observes: when the writer queue holds
@@ -72,7 +52,7 @@ struct ReplicationOptions {
     bool wal_fsync = true;
     /// Follower mode: the registry is built purely from replicated
     /// segments; the query protocol rejects OBSERVE (route it to the
-    /// leader) while IDENTIFY/TOPN/STATS/CHECKPOINT serve locally. The
+    /// leader) while IDENTIFY/IDENTIFYB/STATS/CHECKPOINT serve locally. The
     /// in-process observe()/observe_sync() API stays usable — it is how
     /// tests seed state — but nothing network-facing reaches it.
     bool read_only = false;
@@ -126,15 +106,14 @@ struct ServeOptions {
     /// observe() drops (counted) and observe_sync() blocks.
     std::size_t queue_capacity = 1 << 16;
 
-    /// Worker threads for batch identify fan-out (multi-digest IDENTIFY
-    /// requests route through ThreadPool::parallel_for). 0 = resolve
-    /// batches serially on the calling thread.
+    /// Worker threads for batch identify fan-out (IDENTIFYB requests route
+    /// through ThreadPool::parallel_for). 0 = resolve batches serially on
+    /// the calling thread.
     std::size_t batch_pool_threads = 0;
 
     // Grouped sub-options, one struct per subsystem. The flat field soup
     // this replaces scattered its coherence checks across every daemon;
     // validate() below is now the single gate.
-    CoalesceOptions coalesce;
     ShedOptions shed;
     ReplicationOptions replication;
     PartitionOptions partition;
@@ -143,12 +122,12 @@ struct ServeOptions {
     /// validation gate for every embedder (daemon, chaos harness, tests).
     /// RecognitionService's constructor calls this; call it earlier (after
     /// CLI parsing) for a cleaner error. Rejects: zero queue_capacity or
-    /// feed_batch_max, a coalescing window with batch_max 0, an observe
-    /// WAL without segments_dir or on a read-only follower, a shed
-    /// threshold beyond queue_capacity (observe_sync would block before it
-    /// ever shed), and a read-only follower claiming shard ownership
-    /// (partition enforcement is a leader concern; followers are listed in
-    /// the map, not configured with it).
+    /// feed_batch_max, an observe WAL without segments_dir or on a
+    /// read-only follower, a shed threshold beyond queue_capacity
+    /// (observe_sync would block before it ever shed), and a read-only
+    /// follower claiming shard ownership (partition enforcement is a
+    /// leader concern; followers are listed in the map, not configured
+    /// with it).
     void validate() const;
 };
 
@@ -196,16 +175,22 @@ struct FusedIdentified {
     std::string name;
 };
 
+/// One parsed identification request: the service-side form of
+/// serve::Probe. Either channel may be absent, at least one must be
+/// present; `k` bounds the ranked reply.
+struct DigestProbe {
+    std::optional<fuzzy::FuzzyDigest> content;
+    std::optional<fuzzy::FuzzyDigest> behavior;
+    std::size_t k = 1;
+};
+
 /// Query-protocol verbs, indexing the per-verb request counters STATS
 /// reports. kUnknown counts unrecognized verbs and empty requests.
 enum class QueryVerb : std::size_t {
     kIdentify = 0,
     kIdentifyB,
-    kIdentifyTs,
-    kIdentify2,
     kObserve,
     kObserveTs,
-    kTopN,
     kStats,
     kCheckpoint,
     kPartMap,
@@ -219,7 +204,7 @@ std::string_view query_verb_name(QueryVerb verb);
 
 /// Counter snapshot (see RecognitionService::stats).
 struct ServeCounters {
-    std::uint64_t identifies = 0;         ///< identify/top_n/identify_many probes
+    std::uint64_t identifies = 0;         ///< probes answered (identify + identify_many)
     std::uint64_t observes_enqueued = 0;
     std::uint64_t observes_dropped = 0;   ///< queue full (async observe only)
     std::uint64_t observes_applied = 0;   ///< client observes applied by the writer
@@ -290,27 +275,18 @@ public:
         return snapshot_.load(std::memory_order_acquire);
     }
 
-    /// Best family for a probe, or nullopt below the match threshold.
+    /// Best family for a content probe, or nullopt below the match
+    /// threshold.
     std::optional<Identified> identify(const fuzzy::FuzzyDigest& digest) const;
 
-    /// Best family for a behavioral (shapelet) probe — the behavior
-    /// channel's identify.
-    std::optional<Identified> identify_behavior(const fuzzy::FuzzyDigest& digest) const;
-
-    /// Fused identification: rank families by the weighted combination of
-    /// both channels (either probe may be absent); per-channel scores
-    /// survive for provenance. See recognize::Registry::top_families_fused.
-    std::vector<FusedIdentified> identify_fused(
-        const std::optional<fuzzy::FuzzyDigest>& content,
-        const std::optional<fuzzy::FuzzyDigest>& behavior, std::size_t k) const;
-
-    /// Top `k` families by best-exemplar score (deduplicated by family,
-    /// best first).
-    std::vector<Identified> top_n(const fuzzy::FuzzyDigest& digest, std::size_t k) const;
-
-    /// top_n over the behavior channel.
-    std::vector<Identified> top_n_behavior(const fuzzy::FuzzyDigest& digest,
-                                           std::size_t k) const;
+    /// THE ranked read behind the IDENTIFY verb: the probe's `k` best
+    /// families, best first, with per-channel scores for provenance. A
+    /// single-channel probe with k = 1 takes that channel's best match
+    /// (recognize::Registry::best_match / best_match_behavior); every
+    /// other shape ranks through recognize::Registry::top_families_fused,
+    /// so equal scores order by ascending family id. Empty when nothing
+    /// reaches the match threshold.
+    std::vector<FusedIdentified> identify(const DigestProbe& probe) const;
 
     /// Batch identify against one snapshot; with a pool the probes fan out
     /// through ThreadPool::parallel_for. Results are positional.

@@ -79,8 +79,10 @@ std::chrono::milliseconds ReplicaClient::backoff_sleep(std::chrono::milliseconds
 }
 
 template <typename Fn>
-auto ReplicaClient::with_failover(std::size_t start, Fn&& fn) {
+auto ReplicaClient::with_failover(Route route, Fn&& fn) {
     ++stats_.requests;
+    const bool write = route == Route::kWrite;
+    const std::size_t start = write ? leader_hint_ : next_read_++;
     std::exception_ptr last_error;
     auto backoff = std::max(options_.backoff_floor, std::chrono::milliseconds(1));
     for (std::size_t sweep = 0;; ++sweep) {
@@ -96,8 +98,9 @@ auto ReplicaClient::with_failover(std::size_t start, Fn&& fn) {
                 }
                 tried = true;
                 try {
-                    auto result = fn(client(index), index);
+                    auto result = fn(client(index));
                     mark_success(index);
+                    if (write) leader_hint_ = index;
                     return result;
                 } catch (const util::SystemError&) {
                     // Transport trouble: this endpoint is down or
@@ -109,11 +112,20 @@ auto ReplicaClient::with_failover(std::size_t start, Fn&& fn) {
                     ++stats_.failovers;
                     last_error = std::current_exception();
                 } catch (const util::Error& e) {
-                    if (!reply_mentions(e, kOverloadedError)) throw;
-                    // The replica shed us under load: cool it down and try
-                    // a less-loaded one instead of surfacing the error.
-                    mark_failure(index);
-                    ++stats_.overload_redirects;
+                    if (write && reply_mentions(e, kReadOnlyError)) {
+                        // A write reached a follower. No cooldown: a
+                        // healthy follower stays instantly available for
+                        // reads.
+                        ++stats_.read_only_redirects;
+                    } else if (reply_mentions(e, kOverloadedError)) {
+                        // The replica shed us under load: cool it down and
+                        // try a less-loaded one instead of surfacing the
+                        // error.
+                        mark_failure(index);
+                        ++stats_.overload_redirects;
+                    } else {
+                        throw;  // real application error: every replica would agree
+                    }
                     last_error = std::current_exception();
                 }
             }
@@ -126,118 +138,39 @@ auto ReplicaClient::with_failover(std::size_t start, Fn&& fn) {
 }
 
 std::vector<FusedIdentified> ReplicaClient::identify(const Probe& probe) {
-    return with_failover(next_read_++,
-                         [&](QueryClient& c, std::size_t) { return c.identify(probe); });
-}
-
-std::optional<Identified> ReplicaClient::identify(std::string_view digest) {
-    return with_failover(next_read_++,
-                         [&](QueryClient& c, std::size_t) { return c.identify(digest); });
+    return with_failover(Route::kRead, [&](QueryClient& c) { return c.identify(probe); });
 }
 
 std::vector<std::optional<Identified>> ReplicaClient::identify_many(
     const std::vector<std::string>& digests) {
-    return with_failover(next_read_++,
-                         [&](QueryClient& c, std::size_t) { return c.identify_many(digests); });
-}
-
-std::vector<Identified> ReplicaClient::top_n(std::string_view digest, std::size_t k) {
-    return with_failover(next_read_++,
-                         [&](QueryClient& c, std::size_t) { return c.top_n(digest, k); });
-}
-
-std::optional<Identified> ReplicaClient::identify_behavior(std::string_view digest) {
-    return with_failover(
-        next_read_++, [&](QueryClient& c, std::size_t) { return c.identify_behavior(digest); });
-}
-
-std::vector<FusedIdentified> ReplicaClient::identify_fused(std::string_view content_digest,
-                                                           std::string_view behavior_digest,
-                                                           std::size_t k) {
-    return with_failover(next_read_++, [&](QueryClient& c, std::size_t) {
-        return c.identify_fused(content_digest, behavior_digest, k);
-    });
+    return with_failover(Route::kRead, [&](QueryClient& c) { return c.identify_many(digests); });
 }
 
 std::string ReplicaClient::stats_text() {
-    return with_failover(next_read_++,
-                         [&](QueryClient& c, std::size_t) { return c.stats_text(); });
+    return with_failover(Route::kRead, [](QueryClient& c) { return c.stats_text(); });
 }
 
 std::string ReplicaClient::checkpoint() {
-    return with_failover(next_read_++,
-                         [&](QueryClient& c, std::size_t) { return c.checkpoint(); });
+    return with_failover(Route::kRead, [](QueryClient& c) { return c.checkpoint(); });
 }
 
 std::string ReplicaClient::partition_map_text() {
-    return with_failover(next_read_++,
-                         [&](QueryClient& c, std::size_t) { return c.partition_map_text(); });
+    return with_failover(Route::kRead, [](QueryClient& c) { return c.partition_map_text(); });
 }
 
 std::uint64_t ReplicaClient::fingerprint_range(std::uint64_t lo, std::uint64_t hi) {
-    return with_failover(next_read_++, [&](QueryClient& c, std::size_t) {
-        return c.fingerprint_range(lo, hi);
-    });
+    return with_failover(Route::kRead,
+                         [&](QueryClient& c) { return c.fingerprint_range(lo, hi); });
 }
 
 Identified ReplicaClient::observe(std::string_view digest, std::string_view hint) {
-    return observe_impl(digest, hint, false);
+    return with_failover(Route::kWrite,
+                         [&](QueryClient& c) { return c.observe(digest, hint); });
 }
 
 Identified ReplicaClient::observe_behavior(std::string_view digest, std::string_view hint) {
-    return observe_impl(digest, hint, true);
-}
-
-Identified ReplicaClient::observe_impl(std::string_view digest, std::string_view hint,
-                                       bool behavioral) {
-    // Leader-seeking: start at the endpoint that last accepted a write and
-    // walk the list, skipping read-only rejections, overload sheds, and
-    // dead endpoints. Unlike reads, those application-level ERRs
-    // participate in the failover — they mean "wrong replica right now",
-    // not "bad request". Read-only rejections do NOT cool the endpoint
-    // down: a healthy follower stays instantly available for reads.
-    ++stats_.requests;
-    std::string last_error = "no replica accepted the observe";
-    auto backoff = std::max(options_.backoff_floor, std::chrono::milliseconds(1));
-    for (std::size_t sweep = 0;; ++sweep) {
-        for (int pass = 0; pass < 2; ++pass) {
-            bool tried = false;
-            for (std::size_t attempt = 0; attempt < replicas_.size(); ++attempt) {
-                const std::size_t index = (leader_hint_ + attempt) % replicas_.size();
-                if (pass == 0 && cooling(index)) {
-                    ++stats_.cooldown_skips;
-                    continue;
-                }
-                tried = true;
-                try {
-                    auto result = behavioral ? client(index).observe_behavior(digest, hint)
-                                             : client(index).observe(digest, hint);
-                    leader_hint_ = index;
-                    mark_success(index);
-                    return result;
-                } catch (const util::SystemError& e) {
-                    connections_[index].reset();
-                    mark_failure(index);
-                    ++stats_.failovers;
-                    last_error = e.what();
-                } catch (const util::Error& e) {
-                    if (reply_mentions(e, kReadOnlyError)) {
-                        ++stats_.read_only_redirects;
-                    } else if (reply_mentions(e, kOverloadedError)) {
-                        mark_failure(index);
-                        ++stats_.overload_redirects;
-                    } else {
-                        throw;  // real application error: every replica would agree
-                    }
-                    last_error = e.what();
-                }
-            }
-            if (tried) break;
-        }
-        if (sweep >= options_.retry_sweeps) break;
-        backoff = backoff_sleep(backoff);
-    }
-    throw util::Error("observe failed on every replica: " + last_error);
+    return with_failover(Route::kWrite,
+                         [&](QueryClient& c) { return c.observe_behavior(digest, hint); });
 }
 
 }  // namespace siren::serve

@@ -48,7 +48,7 @@ struct ReplicaClientStats {
 };
 
 /// Replica-aware face of QueryClient — the client side of the scale-out
-/// story. Reads (identify/identify_many/top_n/stats/checkpoint) spread
+/// story. Reads (identify/identify_many/stats/checkpoint) spread
 /// round-robin across the replica list and fail over to the next replica
 /// on any transport error (connect refused/timed out, dead connection,
 /// reply deadline) until one answers or every replica failed. OBSERVE is
@@ -81,18 +81,10 @@ public:
                            std::chrono::milliseconds timeout = std::chrono::milliseconds(5000));
     ReplicaClient(std::vector<ReplicaEndpoint> replicas, ReplicaClientOptions options);
 
-    /// The unified probe shape (see QueryClient::identify(const Probe&)),
+    /// The one probe shape (see QueryClient::identify(const Probe&)),
     /// round-robin with failover like every read.
     std::vector<FusedIdentified> identify(const Probe& probe);
-
-    std::optional<Identified> identify(std::string_view digest);
     std::vector<std::optional<Identified>> identify_many(const std::vector<std::string>& digests);
-    std::vector<Identified> top_n(std::string_view digest, std::size_t k);
-    /// Behavior-channel and fused reads, round-robin like identify().
-    std::optional<Identified> identify_behavior(std::string_view digest);
-    std::vector<FusedIdentified> identify_fused(std::string_view content_digest,
-                                                std::string_view behavior_digest,
-                                                std::size_t k = 5);
     std::string stats_text();
     std::string checkpoint();
     /// Serialized partition map (PARTMAP), round-robin with failover.
@@ -125,13 +117,17 @@ private:
     /// Sleep before the next sweep; returns the span actually slept and
     /// advances the decorrelated-jitter state.
     std::chrono::milliseconds backoff_sleep(std::chrono::milliseconds previous);
-    /// Run `fn` against replicas starting at `start`, failing over on
-    /// transport errors and overload sheds; rethrows the last error when
-    /// every sweep of the retry budget fails.
+    /// Which end of the replica list a call seeks.
+    enum class Route {
+        kRead,   ///< start at the round-robin cursor
+        kWrite,  ///< leader-seeking: start at the leader hint, skip followers
+    };
+    /// Run `fn` against replicas in `route` order, failing over on
+    /// transport errors and overload sheds (and, for writes, read-only
+    /// rejections); rethrows the last error when every sweep of the retry
+    /// budget fails.
     template <typename Fn>
-    auto with_failover(std::size_t start, Fn&& fn);
-    /// Shared leader-seeking walk of observe()/observe_behavior().
-    Identified observe_impl(std::string_view digest, std::string_view hint, bool behavioral);
+    auto with_failover(Route route, Fn&& fn);
 
     std::vector<ReplicaEndpoint> replicas_;
     std::vector<std::unique_ptr<QueryClient>> connections_;

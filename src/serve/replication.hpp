@@ -211,7 +211,7 @@ struct ReplicationFollowerStats {
 /// frames into the sink — reconnecting with backoff after every failure
 /// (leader restart, torn chunk, network error). Pair it with a
 /// RecognitionService following the same local directory and the follower
-/// serves IDENTIFY/TOPN from replicated state.
+/// serves IDENTIFY/IDENTIFYB from replicated state.
 class ReplicationFollower {
 public:
     /// Starts the thread; throws util::SystemError when the sink directory

@@ -1,6 +1,7 @@
 #include "serve/sharded_client.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "fuzzy/ctph.hpp"

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,14 +52,6 @@ public:
 
     /// Ranked fused identification across the owning shards.
     std::vector<FusedIdentified> identify(const Probe& probe);
-
-    /// Legacy singleton shapes, same bridges as QueryClient's.
-    std::optional<Identified> identify(std::string_view digest) {
-        return first_identified(identify(Probe{.content = std::string(digest)}));
-    }
-    std::optional<Identified> identify_behavior(std::string_view digest) {
-        return first_identified(identify(Probe{.behavior = std::string(digest)}));
-    }
 
     /// Owner-routed sighting; follows wrong_shard redirects (see above).
     Identified observe(std::string_view digest, std::string_view hint = {});

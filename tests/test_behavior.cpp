@@ -1,7 +1,7 @@
 // Behavioral fingerprint channel: shapelet digests of runtime counter
 // traces, channel separation from content digests, registry fusion with
 // per-channel provenance, TS_H wire/journal plumbing, and the serving
-// layer's OBSERVETS / IDENTIFYTS / IDENTIFY2 verbs — including the
+// layer's OBSERVETS verb and IDENTIFY behavior probes — including the
 // headline scenario the channel exists for: a renamed/recompiled binary
 // whose content digest mutated past match range is still recognized
 // through its counter trace.
@@ -341,8 +341,9 @@ TEST(ServeBehavior, FeedsTimeSeriesHashesFromSegments) {
     service.flush();
 
     EXPECT_EQ(service.counters().feed_ts_hashes, 1u);
-    const auto match = service.identify_behavior(sb::shapelet_digest(family_trace(17, 2)));
-    ASSERT_TRUE(match.has_value());
+    const auto match = service.identify(sv::DigestProbe{
+        .content = std::nullopt, .behavior = sb::shapelet_digest(family_trace(17, 2)), .k = 1});
+    ASSERT_EQ(match.size(), 1u);
     EXPECT_EQ(service.snapshot()->registry.behavior_digest_count(), 1u);
 }
 
@@ -374,9 +375,10 @@ TEST(ServeBehavior, WalJournalsBehavioralObservesForReplay) {
     replayed.flush();
     EXPECT_EQ(replayed.snapshot()->fingerprint(), fingerprint)
         << "replaying the WAL must converge to the leader's exact state";
-    const auto match = replayed.identify_behavior(sb::shapelet_digest(family_trace(19, 2)));
-    ASSERT_TRUE(match.has_value());
-    EXPECT_EQ(match->name, "vasp");
+    const auto match = replayed.identify(sv::DigestProbe{
+        .content = std::nullopt, .behavior = sb::shapelet_digest(family_trace(19, 2)), .k = 1});
+    ASSERT_EQ(match.size(), 1u);
+    EXPECT_EQ(match.front().name, "vasp");
 }
 
 TEST(ServeBehavior, QueryVerbsEndToEndOverTcp) {
@@ -395,20 +397,22 @@ TEST(ServeBehavior, QueryVerbsEndToEndOverTcp) {
     EXPECT_EQ(observed.name, "namd");
     EXPECT_FALSE(observed.new_family) << "hint attaches the trace to the content family";
 
-    const auto behavioral = client.identify_behavior(rerun_str);
-    ASSERT_TRUE(behavioral.has_value());
-    EXPECT_EQ(behavioral->name, "namd");
+    const auto behavioral = client.identify({.content = {}, .behavior = rerun_str, .k = 1});
+    ASSERT_EQ(behavioral.size(), 1u);
+    EXPECT_EQ(behavioral.front().name, "namd");
+    EXPECT_EQ(behavioral.front().content_score, 0);
+    EXPECT_EQ(behavioral.front().behavior_score, behavioral.front().score);
 
     // Fused identify with both channels; "-" semantics are the CLI's, the
     // client API takes empty for an absent channel.
     const auto mutated = mutate(rng, content, 4).to_string();
-    const auto fused = client.identify_fused(mutated, rerun_str, 3);
+    const auto fused = client.identify({.content = mutated, .behavior = rerun_str, .k = 3});
     ASSERT_FALSE(fused.empty());
     EXPECT_EQ(fused.front().name, "namd");
     EXPECT_GT(fused.front().content_score, 0);
     EXPECT_GT(fused.front().behavior_score, 0);
 
-    const auto behavior_only = client.identify_fused({}, rerun_str, 3);
+    const auto behavior_only = client.identify({.content = {}, .behavior = rerun_str, .k = 3});
     ASSERT_FALSE(behavior_only.empty());
     EXPECT_EQ(behavior_only.front().content_score, 0);
 
@@ -417,8 +421,7 @@ TEST(ServeBehavior, QueryVerbsEndToEndOverTcp) {
     EXPECT_NE(stats.find("content_digests 1\n"), std::string::npos) << stats;
     EXPECT_NE(stats.find("behavior_digests 1\n"), std::string::npos) << stats;
     EXPECT_NE(stats.find("fused_families 1\n"), std::string::npos) << stats;
-    EXPECT_NE(stats.find("verb_identifyts 1\n"), std::string::npos) << stats;
-    EXPECT_NE(stats.find("verb_identify2 2\n"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("verb_identify 3\n"), std::string::npos) << stats;
     EXPECT_NE(stats.find("verb_observets 1\n"), std::string::npos) << stats;
 
     server.stop();
@@ -429,12 +432,12 @@ TEST(ServeBehavior, ProtocolErrorsAndReadOnlyRejection) {
     sv::RecognitionService service(options);
     const auto shapelet_str = sb::shapelet_digest(family_trace(29, 1)).to_string();
 
-    EXPECT_TRUE(sv::execute_query(service, "IDENTIFYTS").starts_with("ERR"));
-    EXPECT_TRUE(sv::execute_query(service, "IDENTIFYTS not-a-digest").starts_with("ERR"));
-    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY2").starts_with("ERR"))
-        << "IDENTIFY2 with neither channel is a usage error";
-    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY2 X " + shapelet_str).starts_with("ERR"));
-    EXPECT_EQ(sv::execute_query(service, "IDENTIFYTS " + shapelet_str), "UNKNOWN");
+    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY B").starts_with("ERR"));
+    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY B not-a-digest").starts_with("ERR"));
+    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY 3").starts_with("ERR"))
+        << "IDENTIFY with neither channel is a usage error";
+    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY X " + shapelet_str).starts_with("ERR"));
+    EXPECT_EQ(sv::execute_query(service, "IDENTIFY B " + shapelet_str), "OK 0\n");
 
     // Followers serve behavioral queries but reject behavioral observes,
     // exactly like OBSERVE — route writes to the leader.
@@ -445,6 +448,6 @@ TEST(ServeBehavior, ProtocolErrorsAndReadOnlyRejection) {
         sv::execute_query(follower, "OBSERVETS " + shapelet_str + " label");
     EXPECT_TRUE(rejected.starts_with("ERR")) << rejected;
     EXPECT_NE(rejected.find("read-only"), std::string::npos) << rejected;
-    EXPECT_EQ(sv::execute_query(follower, "IDENTIFYTS " + shapelet_str), "UNKNOWN")
+    EXPECT_EQ(sv::execute_query(follower, "IDENTIFY B " + shapelet_str), "OK 0\n")
         << "read-only rejects writes, not behavioral reads";
 }

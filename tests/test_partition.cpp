@@ -189,6 +189,21 @@ TEST(PartitionMap, RejectsIncoherentTables) {
 
     EXPECT_THROW(sv::PartitionMap::parse("partmap 9\nversion 1\n"),
                  siren::util::Error);
+
+    // Shard ids are 32-bit: a wider one is a parse error, never a silent
+    // wrap (4294967296 would become shard 0, 4294967297 shard 1).
+    const std::string header = "partmap 1\nversion 1\n";
+    EXPECT_THROW(sv::PartitionMap::parse(header + "shard 4294967296 h:1 -\n"
+                                                  "range 0 0 18446744073709551615\n"),
+                 siren::util::ParseError);
+    EXPECT_THROW(sv::PartitionMap::parse(header + "shard 0 h:1 -\nshard 1 h:2 -\n"
+                                                  "range 0 0 99\n"
+                                                  "range 4294967297 100 18446744073709551615\n"),
+                 siren::util::ParseError);
+    const auto widest = sv::PartitionMap::parse(header + "shard 4294967295 h:1 -\n"
+                                                         "range 4294967295 0 "
+                                                         "18446744073709551615\n");
+    EXPECT_EQ(widest.owner_of(42), 4294967295u) << "UINT32_MAX itself is a legal id";
 }
 
 TEST(PartitionMap, OwnerAndProbeFanout) {
@@ -227,10 +242,11 @@ TEST(PartitionMap, SaveAndLoad) {
 
 TEST(ParseStats, VersionedKeyValueSchema) {
     const auto stats = sv::parse_stats(
-        "OK\nstats_version 1\nrole leader\nfamilies 3\nshard_id 2\n"
+        "OK\nstats_version 2\nrole leader\nfamilies 3\nshard_id 2\n"
         "some_future_key 77\nnon_numeric banana\n");
     EXPECT_EQ(stats.role, "leader");
-    EXPECT_EQ(stats.get("stats_version"), sv::kStatsVersion);
+    EXPECT_EQ(stats.get("stats_version"), 2u);
+    EXPECT_EQ(sv::kStatsVersion, 2u) << "removing keys bumps the schema version";
     EXPECT_EQ(stats.get("families"), 3u);
     EXPECT_EQ(stats.get("shard_id"), 2u);
     EXPECT_EQ(stats.get("some_future_key"), 77u) << "unknown keys must still parse";
@@ -238,6 +254,21 @@ TEST(ParseStats, VersionedKeyValueSchema) {
     EXPECT_EQ(stats.get("absent"), std::nullopt);
 
     EXPECT_THROW(sv::parse_stats("ERR overloaded"), siren::util::ParseError);
+
+    // A live server's STATS (service body + server lines) carries version 2
+    // and none of the keys version 2 removed.
+    sv::RecognitionService service(fast_options());
+    sv::QueryServer server(service);
+    sv::QueryClient client("127.0.0.1", server.port());
+    const auto live = sv::parse_stats(client.request("STATS"));
+    EXPECT_EQ(live.get("stats_version"), 2u);
+    EXPECT_TRUE(live.get("verb_identify").has_value());
+    EXPECT_TRUE(live.get("accept_stalls").has_value());
+    for (const char* removed :
+         {"verb_identifyts", "verb_identify2", "verb_topn", "coalesced_batches",
+          "coalesced_probes", "coalesce_occupancy", "shed_coalesce"}) {
+        EXPECT_FALSE(live.get(removed).has_value()) << removed << " is gone in version 2";
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -311,7 +342,7 @@ TEST(ShardedClient, SingleShardMapIsBitIdenticalToDirectClient) {
     for (const auto& probe : probes) {
         EXPECT_EQ(render(routed.identify(probe)), render(direct.identify(probe)));
     }
-    EXPECT_EQ(routed.identify(famA.to_string())->name, "alpha");
+    EXPECT_EQ(routed.identify(probes[0]).front().name, "alpha");
 }
 
 // ---------------------------------------------------------------------------
@@ -503,10 +534,11 @@ TEST(Rebalance, RangeTransferConvergesAndConservesSightings) {
     // the behavioral channel.
     const auto check = [&](const sf::FuzzyDigest& digest, const std::string& label,
                            bool behavioral) {
-        const auto match = behavioral ? new_owner.identify_behavior(digest)
-                                      : new_owner.identify(digest);
-        ASSERT_TRUE(match.has_value()) << label << " lost in transfer";
-        EXPECT_EQ(match->name, label);
+        sv::DigestProbe probe;
+        (behavioral ? probe.behavior : probe.content) = digest;
+        const auto match = new_owner.identify(probe);
+        ASSERT_EQ(match.size(), 1u) << label << " lost in transfer";
+        EXPECT_EQ(match.front().name, label);
     };
     for (int i = 0; i < 5; ++i) {
         check(nth_digest(i % 2 == 0 ? 96 : 192, i), "app-" + std::to_string(i), false);

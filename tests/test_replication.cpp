@@ -547,11 +547,11 @@ TEST(ReplicaClient, SpreadsReadsAndFailsOverOnDeadReplica) {
                               {"127.0.0.1", server_b->port()}},
                              std::chrono::milliseconds(500));
 
-    const std::string probe = digest.to_string();
+    const sv::Probe probe{.content = digest.to_string(), .behavior = {}, .k = 1};
     for (int i = 0; i < 4; ++i) {
         const auto match = client.identify(probe);
-        ASSERT_TRUE(match.has_value());
-        EXPECT_EQ(match->name, "icon");
+        ASSERT_EQ(match.size(), 1u);
+        EXPECT_EQ(match.front().name, "icon");
     }
     // Round-robin touched both servers.
     EXPECT_GE(service_a.counters().identifies, 2u);
@@ -561,8 +561,8 @@ TEST(ReplicaClient, SpreadsReadsAndFailsOverOnDeadReplica) {
     server_a.reset();
     for (int i = 0; i < 4; ++i) {
         const auto match = client.identify(probe);
-        ASSERT_TRUE(match.has_value());
-        EXPECT_EQ(match->name, "icon");
+        ASSERT_EQ(match.size(), 1u);
+        EXPECT_EQ(match.front().name, "icon");
     }
     EXPECT_GE(client.stats().failovers, 1u);
 
@@ -702,10 +702,12 @@ TEST(Replication, BehavioralRecordsShipAndFingerprintDetectsDivergence) {
     EXPECT_EQ(follower.snapshot()->registry.behavior_digest_count(), 1u);
 
     // A fresh run of the workload is recognizable on the follower.
-    const auto match = follower.identify_behavior(
-        siren::behavior::shapelet_digest(repl_family_trace(1, 2)));
-    ASSERT_TRUE(match.has_value());
-    EXPECT_EQ(match->name, "chroma");
+    const auto match = follower.identify(sv::DigestProbe{
+        .content = std::nullopt,
+        .behavior = siren::behavior::shapelet_digest(repl_family_trace(1, 2)),
+        .k = 1});
+    ASSERT_EQ(match.size(), 1u);
+    EXPECT_EQ(match.front().name, "chroma");
 
     // Divergence: a behavioral record applied on the follower but not the
     // leader (in-process observe bypasses the read-only network guard —

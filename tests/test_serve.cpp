@@ -16,9 +16,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fuzzy/fuzzy.hpp"
@@ -29,6 +33,7 @@
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace fs = std::filesystem;
 namespace sf = siren::fuzzy;
@@ -81,6 +86,11 @@ std::string file_hash_datagram(const sf::FuzzyDigest& digest, std::uint64_t job 
     m.type = siren::net::MsgType::kFileHash;
     m.content = digest.to_string();
     return siren::net::encode(m);
+}
+
+/// A content probe through the one client identify path.
+sv::Probe content_probe(const std::string& digest, std::size_t k = 1) {
+    return {.content = digest, .behavior = {}, .k = k};
 }
 
 /// Service options tuned for tests: fast feed polling, no checkpoint churn.
@@ -258,9 +268,11 @@ TEST(RecognitionService, TopNAndIdentifyManyAgainstOneSnapshot) {
     service.observe_sync(sf::fuzzy_hash(base), "gromacs");
     service.observe_sync(sf::fuzzy_hash(unrelated), "lammps");
 
-    const auto top = service.top_n(sf::fuzzy_hash(drifted), 5);
+    const auto top = service.identify(
+        sv::DigestProbe{.content = sf::fuzzy_hash(drifted), .behavior = std::nullopt, .k = 5});
     ASSERT_GE(top.size(), 1u);
     EXPECT_EQ(top.front().name, "gromacs");
+    EXPECT_EQ(top.front().content_score, top.front().score);
 
     siren::util::ThreadPool pool(2);
     const std::vector<sf::FuzzyDigest> probes = {
@@ -499,15 +511,19 @@ TEST(QueryProtocol, ExecuteQueryVerbsAndErrors) {
     const auto digest = sf::fuzzy_hash(rng.bytes(8192));
     const auto digest_str = digest.to_string();
 
-    EXPECT_EQ(sv::execute_query(service, "IDENTIFY " + digest_str), "UNKNOWN");
+    EXPECT_EQ(sv::execute_query(service, "IDENTIFY C " + digest_str), "OK 0\n");
     const auto observed = sv::execute_query(service, "OBSERVE " + digest_str + " icon");
     EXPECT_TRUE(observed.starts_with("OK ")) << observed;
     EXPECT_NE(observed.find(" new icon"), std::string::npos) << observed;
-    const auto identified = sv::execute_query(service, "IDENTIFY " + digest_str);
-    EXPECT_TRUE(identified.starts_with("OK ")) << identified;
-    EXPECT_NE(identified.find("icon"), std::string::npos);
-
-    EXPECT_TRUE(sv::execute_query(service, "TOPN " + digest_str + " 3").starts_with("OK 1\n"));
+    // One reply shape for every probe: counted, one fused line per family
+    // ("match family fused content behavior name").
+    const auto identified = sv::execute_query(service, "IDENTIFY C " + digest_str);
+    EXPECT_TRUE(identified.starts_with("OK 1\nmatch ")) << identified;
+    EXPECT_TRUE(identified.ends_with(" 100 100 0 icon\n")) << identified;
+    EXPECT_EQ(sv::execute_query(service, "IDENTIFY C " + digest_str + " 1"), identified)
+        << "k defaults to 1";
+    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY C " + digest_str + " 3")
+                    .starts_with("OK 1\n"));
     // STATS is a versioned key=value schema; assert through the parser,
     // not byte offsets, so added keys never break this test.
     const auto stats = sv::parse_stats(sv::execute_query(service, "STATS"));
@@ -518,8 +534,14 @@ TEST(QueryProtocol, ExecuteQueryVerbsAndErrors) {
     EXPECT_TRUE(sv::execute_query(service, "").starts_with("ERR"));
     EXPECT_TRUE(sv::execute_query(service, "FROBNICATE x").starts_with("ERR"));
     EXPECT_TRUE(sv::execute_query(service, "IDENTIFY").starts_with("ERR"));
-    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY not-a-digest").starts_with("ERR"));
-    EXPECT_TRUE(sv::execute_query(service, "TOPN " + digest_str + " zero").starts_with("ERR"));
+    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY " + digest_str).starts_with("ERR"))
+        << "a probe digest needs its channel tag";
+    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY C not-a-digest").starts_with("ERR"));
+    EXPECT_TRUE(
+        sv::execute_query(service, "IDENTIFY C " + digest_str + " zero").starts_with("ERR"));
+    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY C " + digest_str + " 0").starts_with("ERR"));
+    EXPECT_TRUE(sv::execute_query(service, "IDENTIFY C " + digest_str + " " + digest_str)
+                    .starts_with("ERR"));
     EXPECT_TRUE(sv::execute_query(service, "CHECKPOINT").starts_with("ERR"))
         << "no checkpoint path configured";
 }
@@ -537,7 +559,7 @@ TEST(QueryServer, EndToEndOverTcp) {
     const auto digest_str = sf::fuzzy_hash(base).to_string();
 
     sv::QueryClient client("127.0.0.1", server.port());
-    EXPECT_FALSE(client.identify(digest_str).has_value());
+    EXPECT_TRUE(client.identify(content_probe(digest_str)).empty());
 
     const auto observed = client.observe(digest_str, "icon");
     EXPECT_TRUE(observed.new_family);
@@ -550,12 +572,12 @@ TEST(QueryServer, EndToEndOverTcp) {
         client.observe(sf::fuzzy_hash(rng.bytes(16384)).to_string(), "Open MPI");
     EXPECT_EQ(spaced.name, "Open_MPI");
 
-    const auto match = client.identify(digest_str);
-    ASSERT_TRUE(match.has_value());
-    EXPECT_EQ(match->name, "icon");
-    EXPECT_EQ(match->score, 100);
+    const auto match = client.identify(content_probe(digest_str));
+    ASSERT_EQ(match.size(), 1u);
+    EXPECT_EQ(match.front().name, "icon");
+    EXPECT_EQ(match.front().score, 100);
 
-    const auto top = client.top_n(digest_str, 2);
+    const auto top = client.identify(content_probe(digest_str, 2));
     ASSERT_EQ(top.size(), 1u);
     EXPECT_EQ(top.front().name, "icon");
 
@@ -601,8 +623,8 @@ TEST(QueryServer, BatchIdentifyAndConcurrentClientsUnderWrites) {
         try {
             sv::QueryClient client("127.0.0.1", server.port());
             for (int i = 0; i < 50; ++i) {
-                const auto match = client.identify(digest);
-                if (!match || match->name != expected) {
+                const auto match = client.identify(content_probe(digest));
+                if (match.size() != 1 || match.front().name != expected) {
                     failures.fetch_add(1);
                     return;
                 }
@@ -665,7 +687,7 @@ TEST(QueryServer, GarbageFrameDropsConnectionNotServer) {
 }
 
 // ---------------------------------------------------------------------------
-// Request coalescing
+// Pipelined requests: replies leave in request order
 
 namespace {
 
@@ -707,23 +729,8 @@ std::vector<std::string> read_frames(int fd, std::size_t count) {
 
 }  // namespace
 
-TEST(QueryServer, CoalescingOffByDefault) {
+TEST(QueryServer, ConcurrentSingletonsMatchSequentialAnswers) {
     sv::RecognitionService service(fast_options());
-    sv::QueryServer server(service);
-    sv::QueryClient client("127.0.0.1", server.port());
-    siren::util::Rng rng(67);
-    (void)client.identify(sf::fuzzy_hash(rng.bytes(8192)).to_string());
-    server.stop();
-    EXPECT_EQ(server.stats().coalesced_batches, 0u);
-    EXPECT_EQ(server.stats().coalesced_probes, 0u);
-}
-
-TEST(QueryServer, CoalescedConcurrentSingletonsMatchSequentialAnswers) {
-    auto options = fast_options();
-    options.coalesce.batch_window_us = 2000;
-    options.coalesce.batch_max = 8;
-    options.batch_pool_threads = 2;
-    sv::RecognitionService service(options);
 
     siren::util::Rng rng(71);
     std::vector<std::string> known;
@@ -737,7 +744,7 @@ TEST(QueryServer, CoalescedConcurrentSingletonsMatchSequentialAnswers) {
     }
     known.push_back(sf::fuzzy_hash(rng.bytes(4096)).to_string());  // unknown probe
 
-    // The oracle: the single-threaded, uncoalesced answer per digest. No
+    // The oracle: the single-threaded in-process answer per digest. No
     // writers run, so the snapshot cannot move under the clients.
     std::vector<std::optional<sv::Identified>> expected;
     for (const auto& digest : known) {
@@ -755,11 +762,12 @@ TEST(QueryServer, CoalescedConcurrentSingletonsMatchSequentialAnswers) {
                     const std::size_t pick =
                         (static_cast<std::size_t>(t) * 20 + static_cast<std::size_t>(i)) %
                         known.size();
-                    const auto match = client.identify(known[pick]);
+                    const auto match = client.identify(content_probe(known[pick]));
                     const auto& want = expected[pick];
-                    if (match.has_value() != want.has_value() ||
-                        (match && (match->family != want->family ||
-                                   match->score != want->score || match->name != want->name))) {
+                    if (match.size() != (want ? 1u : 0u) ||
+                        (want && (match.front().family != want->family ||
+                                  match.front().score != want->score ||
+                                  match.front().name != want->name))) {
                         mismatches.fetch_add(1);
                         return;
                     }
@@ -771,20 +779,12 @@ TEST(QueryServer, CoalescedConcurrentSingletonsMatchSequentialAnswers) {
     }
     for (auto& c : clients) c.join();
     server.stop();
-    EXPECT_EQ(mismatches.load(), 0) << "a coalesced singleton got a non-sequential answer";
-    // Every singleton IDENTIFY flows through the batcher when coalescing is
-    // on; even a worst-case schedule where every probe flushes alone still
-    // counts its flushes.
-    EXPECT_GE(server.stats().coalesced_batches, 1u);
-    EXPECT_EQ(server.stats().coalesced_probes, 160u);
-    EXPECT_LE(server.stats().coalesced_batches, server.stats().coalesced_probes);
+    EXPECT_EQ(mismatches.load(), 0) << "a concurrent singleton got a non-sequential answer";
+    EXPECT_EQ(server.stats().requests, 160u);
 }
 
-TEST(QueryServer, PipelinedSingletonsRideOneBatchAndReplyInOrder) {
-    auto options = fast_options();
-    options.coalesce.batch_window_us = 5000;
-    options.coalesce.batch_max = 8;
-    sv::RecognitionService service(options);
+TEST(QueryServer, PipelinedIdentifiesReplyInOrder) {
+    sv::RecognitionService service(fast_options());
     siren::util::Rng rng(73);
     std::vector<std::string> digests;
     for (int i = 0; i < 5; ++i) {
@@ -794,13 +794,13 @@ TEST(QueryServer, PipelinedSingletonsRideOneBatchAndReplyInOrder) {
     }
     sv::QueryServer server(service);
 
-    // One write carrying five singleton frames plus a trailing STATS: the
-    // five park in one batch, and STATS — not coalescible — must wait its
-    // turn so replies come back strictly in request order.
+    // One write carrying five IDENTIFY frames plus a trailing STATS: the
+    // server executes them inline, one frame at a time, so replies come
+    // back strictly in request order.
     const int fd = raw_connect(server.port());
     ASSERT_GE(fd, 0);
     std::string burst;
-    for (const auto& digest : digests) sv::append_frame(burst, "IDENTIFY " + digest);
+    for (const auto& digest : digests) sv::append_frame(burst, "IDENTIFY C " + digest);
     sv::append_frame(burst, "STATS");
     ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0),
               static_cast<ssize_t>(burst.size()));
@@ -809,7 +809,8 @@ TEST(QueryServer, PipelinedSingletonsRideOneBatchAndReplyInOrder) {
     ::close(fd);
     ASSERT_EQ(replies.size(), 6u);
     for (int i = 0; i < 5; ++i) {
-        EXPECT_TRUE(replies[static_cast<std::size_t>(i)].starts_with("OK ")) << replies[i];
+        EXPECT_TRUE(replies[static_cast<std::size_t>(i)].starts_with("OK 1\nmatch "))
+            << replies[i];
         EXPECT_NE(replies[static_cast<std::size_t>(i)].find("pipe" + std::to_string(i)),
                   std::string::npos)
             << "reply " << i << " out of order: " << replies[i];
@@ -817,21 +818,13 @@ TEST(QueryServer, PipelinedSingletonsRideOneBatchAndReplyInOrder) {
     const auto stats = sv::parse_stats(replies[5]);
     EXPECT_EQ(stats.role, "leader") << replies[5];
     EXPECT_EQ(stats.get("stats_version"), sv::kStatsVersion) << replies[5];
+    EXPECT_EQ(stats.get("verb_identify"), 5u) << replies[5];
     EXPECT_NE(replies[5].find("\nsimd_level "), std::string::npos) << replies[5];
-    EXPECT_NE(replies[5].find("\ncoalesced_batches "), std::string::npos) << replies[5];
-    EXPECT_NE(replies[5].find("\ncoalesce_occupancy "), std::string::npos) << replies[5];
-
     server.stop();
-    EXPECT_EQ(server.stats().coalesced_probes, 5u);
-    EXPECT_EQ(server.stats().coalesced_batches, 1u)
-        << "five pipelined singletons below batch_max must flush as one batch";
 }
 
-TEST(QueryServer, CoalescerAnswersMalformedDigestInOrder) {
-    auto options = fast_options();
-    options.coalesce.batch_window_us = 2000;
-    options.coalesce.batch_max = 4;
-    sv::RecognitionService service(options);
+TEST(QueryServer, PipelinedMalformedDigestAnswersInOrder) {
+    sv::RecognitionService service(fast_options());
     siren::util::Rng rng(79);
     const auto digest_str = sf::fuzzy_hash(rng.bytes(8192)).to_string();
     service.observe_sync(sf::FuzzyDigest::parse(digest_str), "icon");
@@ -840,8 +833,8 @@ TEST(QueryServer, CoalescerAnswersMalformedDigestInOrder) {
     const int fd = raw_connect(server.port());
     ASSERT_GE(fd, 0);
     std::string burst;
-    sv::append_frame(burst, "IDENTIFY " + digest_str);
-    sv::append_frame(burst, "IDENTIFY not-a-digest");
+    sv::append_frame(burst, "IDENTIFY C " + digest_str);
+    sv::append_frame(burst, "IDENTIFY C not-a-digest");
     sv::append_frame(burst, "IDENTIFYB " + digest_str);
     ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0),
               static_cast<ssize_t>(burst.size()));
@@ -849,10 +842,10 @@ TEST(QueryServer, CoalescerAnswersMalformedDigestInOrder) {
     ::close(fd);
     server.stop();
     ASSERT_EQ(replies.size(), 3u);
-    EXPECT_TRUE(replies[0].starts_with("OK ")) << replies[0];
+    EXPECT_TRUE(replies[0].starts_with("OK 1\nmatch ")) << replies[0];
     EXPECT_TRUE(replies[1].starts_with("ERR")) << replies[1];
     EXPECT_TRUE(replies[2].starts_with("OK 1\nmatch "))
-        << "coalesced IDENTIFYB must keep counted framing: " << replies[2];
+        << "a one-digest IDENTIFYB keeps counted framing: " << replies[2];
 }
 
 // ---------------------------------------------------------------------------
@@ -866,13 +859,14 @@ TEST(QueryClient, IdentifyManyOfOneMatchesIdentify) {
     sv::QueryServer server(service);
 
     sv::QueryClient client("127.0.0.1", server.port());
-    const auto single = client.identify(digest_str);
+    const auto single = client.identify(content_probe(digest_str));
     const auto many = client.identify_many({digest_str});
     ASSERT_EQ(many.size(), 1u);
-    ASSERT_TRUE(single && many[0]);
-    EXPECT_EQ(many[0]->family, single->family);
-    EXPECT_EQ(many[0]->score, single->score);
-    EXPECT_EQ(many[0]->name, single->name);
+    ASSERT_EQ(single.size(), 1u);
+    ASSERT_TRUE(many[0]);
+    EXPECT_EQ(many[0]->family, single.front().family);
+    EXPECT_EQ(many[0]->score, single.front().score);
+    EXPECT_EQ(many[0]->name, single.front().name);
 
     const auto unknown = client.identify_many({"3:zzzzzzz:zzzzzzz"});
     ASSERT_EQ(unknown.size(), 1u);
@@ -1037,69 +1031,6 @@ TEST(QueryProtocol, ObserveShedsWhenWriterQueueSaturated) {
     EXPECT_TRUE(sv::execute_query(service, "OBSERVE " + probe + " after").starts_with("OK"));
     const auto stats = sv::execute_query(service, "STATS");
     EXPECT_NE(stats.find("observes_shed "), std::string::npos) << stats;
-}
-
-TEST(QueryServer, CoalescerShedsBeyondDepthButKeepsReplyOrder) {
-    auto options = fast_options();
-    options.coalesce.batch_window_us = 100000;  // 100ms: probes park long enough to pile up
-    options.coalesce.batch_max = 64;
-    options.coalesce.shed_coalesce_depth = 2;
-    sv::RecognitionService service(options);
-    sv::QueryServer server(service);
-    ASSERT_NE(server.port(), 0);
-
-    siren::util::Rng rng(103);
-    const auto digest = sf::fuzzy_hash(rng.bytes(8192)).to_string();
-
-    // Five pipelined singleton IDENTIFYs in one write: two park in the
-    // coalescer, three must shed immediately — but every reply still
-    // arrives, in request order, on this connection.
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-
-    std::string burst;
-    for (int i = 0; i < 5; ++i) sv::append_frame(burst, "IDENTIFY " + digest);
-    ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0),
-              static_cast<ssize_t>(burst.size()));
-
-    std::vector<std::string> replies;
-    std::string wire;
-    char buf[4096];
-    while (replies.size() < 5) {
-        std::size_t consumed = 0;
-        if (const auto payload = sv::parse_frame(wire, consumed)) {
-            replies.emplace_back(*payload);
-            wire.erase(0, consumed);
-            continue;
-        }
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        ASSERT_GT(n, 0) << "server closed before all five replies arrived";
-        wire.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-
-    std::size_t shed_replies = 0;
-    std::size_t answered = 0;
-    for (const auto& line : replies) {
-        if (line.starts_with("ERR overloaded")) {
-            ++shed_replies;
-        } else if (!line.empty()) {
-            ++answered;
-        }
-    }
-    std::string transcript;
-    for (const auto& line : replies) transcript += line + "\n";
-    EXPECT_EQ(shed_replies, 3u) << transcript;
-    EXPECT_EQ(answered, 2u) << transcript;
-    EXPECT_EQ(server.stats().shed_coalesce, 3u);
-    EXPECT_EQ(server.stats().coalesced_probes, 2u)
-        << "the parked probes still resolve through the batch";
-    server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -1310,4 +1241,302 @@ TEST(RecognitionService, IdentifyTailLatencyFlatUnderPublishStorm) {
     const auto counters = service.counters();
     EXPECT_GT(counters.shared_chunks, 0u);
     EXPECT_GT(counters.total_chunks, counters.shared_chunks);
+}
+
+// ---------------------------------------------------------------------------
+// One identify path: every client and every probe shape agree with the
+// registry oracle, and the query-frame parser survives mutated frames
+
+namespace {
+
+/// `base` with its first `spots` characters replaced: the untouched tail
+/// keeps a shared 7-gram with `base`, so the score falls smoothly with
+/// `spots`.
+std::string mutate_prefix(std::string base, std::size_t spots) {
+    static constexpr char kSpots[] = "abcdefghij";
+    for (std::size_t i = 0; i < spots; ++i) base[i] = kSpots[i];
+    return base;
+}
+
+/// A two-channel registry seeded through a checkpoint, so families can sit
+/// closer together than the observe path would let them (it would fold
+/// them into one). Against `content`, fam-1 > fam-0 > fam-3 == fam-4
+/// (identical exemplars, fam-4's listed first); against `behavior`,
+/// fam-2 > fam-3 > fam-0; fam-5 matches neither probe, and the unknown
+/// probes match nothing.
+struct TwoChannelCorpus {
+    std::string checkpoint;
+    std::string content;
+    std::string behavior;
+    std::string unknown_content;
+    std::string unknown_behavior;
+};
+
+TwoChannelCorpus two_channel_corpus() {
+    static constexpr const char* kContent = "kTqWx3NvZrLm8PbC5dYhJf2Ag4";
+    static constexpr const char* kBehavior = "Ga5jLd8SfTk2RmNe7XwPq4VzCu";
+    siren::util::Rng rng(151);
+    // digest1 carries the similarity; every digest2 is random, so it never
+    // shares a 7-gram with another digest's.
+    const auto digest = [&rng](std::uint64_t block_size, std::string digest1) {
+        auto d = synthetic_digest(block_size, rng);
+        d.digest1 = std::move(digest1);
+        return d.to_string();
+    };
+    TwoChannelCorpus corpus;
+    corpus.content = digest(1536, kContent);
+    corpus.behavior = digest(256, kBehavior);
+    corpus.unknown_content = synthetic_digest(1536, rng).to_string();
+    corpus.unknown_behavior = synthetic_digest(256, rng).to_string();
+
+    std::string& text = corpus.checkpoint;
+    text = "SIRENCKPT 1\napplied 0\nregistry\n";
+    for (int f = 0; f < 6; ++f) {
+        text += "family " + std::to_string(f) + " 1 fam-" + std::to_string(f) + "\n";
+    }
+    const auto tied = digest(1536, mutate_prefix(kContent, 4));
+    text += "exemplar 1 " + digest(1536, mutate_prefix(kContent, 1)) + "\n";
+    text += "exemplar 0 " + digest(1536, mutate_prefix(kContent, 2)) + "\n";
+    text += "exemplar 4 " + tied + "\n";
+    text += "exemplar 3 " + tied + "\n";
+    text += "exemplar 5 " + synthetic_digest(1536, rng).to_string() + "\n";
+    text += "bexemplar 2 " + digest(256, mutate_prefix(kBehavior, 1)) + "\n";
+    text += "bexemplar 3 " + digest(256, mutate_prefix(kBehavior, 3)) + "\n";
+    text += "bexemplar 0 " + digest(256, mutate_prefix(kBehavior, 6)) + "\n";
+    text += "bexemplar 5 " + synthetic_digest(256, rng).to_string() + "\n";
+    return corpus;
+}
+
+/// Service options booting from `corpus`'s checkpoint inside `dir`.
+sv::ServeOptions corpus_options(const ScratchDir& dir, const TwoChannelCorpus& corpus) {
+    const auto path = dir.sub("corpus.ckpt");
+    std::ofstream(path) << corpus.checkpoint;
+    auto options = fast_options();
+    options.checkpoint_path = path;
+    return options;
+}
+
+std::string render(const std::vector<sv::FusedIdentified>& matches) {
+    std::string out;
+    for (const auto& m : matches) {
+        out += std::to_string(m.family) + " " + std::to_string(m.score) + " " +
+               std::to_string(m.content_score) + " " + std::to_string(m.behavior_score) + " " +
+               m.name + "\n";
+    }
+    return out;
+}
+
+/// The in-process oracle for one probe: the channel's best match for a
+/// single-channel k = 1 probe, the fused ranking for every other shape.
+std::vector<sv::FusedIdentified> oracle_identify(const siren::recognize::Registry& registry,
+                                                 const sv::Probe& probe) {
+    std::optional<sf::FuzzyDigest> content;
+    std::optional<sf::FuzzyDigest> behavior;
+    if (!probe.content.empty()) content = sf::FuzzyDigest::parse(probe.content);
+    if (!probe.behavior.empty()) behavior = sf::FuzzyDigest::parse(probe.behavior);
+    std::vector<sv::FusedIdentified> out;
+    if (probe.k == 1 && content.has_value() != behavior.has_value()) {
+        const auto match =
+            content ? registry.best_match(*content) : registry.best_match_behavior(*behavior);
+        if (match) {
+            out.push_back({match->family, match->best_score, content ? match->best_score : 0,
+                           content ? 0 : match->best_score,
+                           registry.family(match->family).name});
+        }
+        return out;
+    }
+    for (const auto& m : registry.top_families_fused(content ? &*content : nullptr,
+                                                     behavior ? &*behavior : nullptr, probe.k)) {
+        out.push_back({m.family, m.score, m.content_score, m.behavior_score,
+                       registry.family(m.family).name});
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST(IdentifyPath, EveryClientMatchesTheRegistryOracleOnEveryProbeShape) {
+    ScratchDir dir("identify_path");
+    const auto corpus = two_channel_corpus();
+    sv::RecognitionService service(corpus_options(dir, corpus));
+    ASSERT_EQ(service.snapshot()->registry.family_count(), 6u);
+    sv::QueryServer server(service);
+    const sv::ReplicaEndpoint endpoint{"127.0.0.1", server.port()};
+
+    sv::QueryClient direct(endpoint.host, endpoint.port);
+    sv::ReplicaClient replica({endpoint});
+    sv::ShardedClient sharded(sv::PartitionMap::single(endpoint));
+    sv::QueryClient stats(endpoint.host, endpoint.port);
+    const auto verb_identify = [&stats] {
+        return sv::parse_stats(stats.request("STATS")).get("verb_identify").value_or(0);
+    };
+
+    const std::string& c = corpus.content;
+    const std::string& b = corpus.behavior;
+    const std::pair<const char*, sv::Probe> shapes[] = {
+        {"content k=1", {.content = c, .behavior = {}, .k = 1}},
+        {"behavior k=1", {.content = {}, .behavior = b, .k = 1}},
+        {"content k=5", {.content = c, .behavior = {}, .k = 5}},
+        {"behavior k=5", {.content = {}, .behavior = b, .k = 5}},
+        {"both k=1", {.content = c, .behavior = b, .k = 1}},
+        {"both k=5", {.content = c, .behavior = b, .k = 5}},
+        {"unknown content k=1", {.content = corpus.unknown_content, .behavior = {}, .k = 1}},
+        {"unknown both k=5",
+         {.content = corpus.unknown_content, .behavior = corpus.unknown_behavior, .k = 5}},
+    };
+    const std::pair<const char*, std::function<std::vector<sv::FusedIdentified>(
+                                     const sv::Probe&)>>
+        clients[] = {
+            {"QueryClient", [&](const sv::Probe& p) { return direct.identify(p); }},
+            {"ReplicaClient", [&](const sv::Probe& p) { return replica.identify(p); }},
+            {"ShardedClient", [&](const sv::Probe& p) { return sharded.identify(p); }},
+        };
+    std::map<std::string, std::vector<sv::FusedIdentified>> expected;
+    for (const auto& [shape, probe] : shapes) {
+        expected[shape] = oracle_identify(service.snapshot()->registry, probe);
+        for (const auto& [name, identify] : clients) {
+            const auto before = verb_identify();
+            EXPECT_EQ(render(identify(probe)), render(expected[shape])) << name << ", " << shape;
+            EXPECT_EQ(verb_identify(), before + 1)
+                << name << ", " << shape << ": one IDENTIFY frame per probe";
+        }
+    }
+
+    // The corpus really exercises what the shapes differ in.
+    EXPECT_EQ(render(expected["content k=1"]), "1 97 97 0 fam-1\n");
+    EXPECT_EQ(render(expected["behavior k=1"]), "2 97 0 97 fam-2\n");
+    ASSERT_EQ(expected["content k=5"].size(), 4u);
+    EXPECT_EQ(expected["content k=5"][2].score, expected["content k=5"][3].score);
+    EXPECT_EQ(expected["content k=5"][2].name, "fam-3")
+        << "equal scores rank by ascending family id, not exemplar order";
+    EXPECT_EQ(expected["both k=1"].front().name, "fam-0")
+        << "two-channel agreement outranks either channel's own winner";
+    EXPECT_EQ(expected["both k=5"].size(), 5u);
+    EXPECT_TRUE(expected["unknown content k=1"].empty());
+    EXPECT_TRUE(expected["unknown both k=5"].empty());
+}
+
+TEST(IdentifyPath, MutatedIdentifyFramesAnswerOkOrErrWithDocumentedShape) {
+    // Seeded mutation sweep over the identify grammar: byte flips,
+    // truncations and token splices of valid IDENTIFY / IDENTIFYB frames,
+    // straight through execute_query. No frame may throw, every reply is
+    // OK or ERR, and every OK reply has its verb's counted shape.
+    ScratchDir dir("identify_fuzz");
+    const auto corpus = two_channel_corpus();
+    sv::RecognitionService service(corpus_options(dir, corpus));
+    const std::string& c = corpus.content;
+    const std::string& b = corpus.behavior;
+    const std::vector<std::string> seeds = {
+        "IDENTIFY C " + c,
+        "IDENTIFY B " + b,
+        "IDENTIFY C " + c + " 5",
+        "IDENTIFY B " + b + " 2",
+        "IDENTIFY C " + c + " B " + b + " 5",
+        "IDENTIFY C " + corpus.unknown_content + " B " + b,
+        "IDENTIFYB " + c + " " + corpus.unknown_content + " " + c,
+        "IDENTIFYB " + c,
+    };
+
+    siren::util::Rng rng(20261017);
+    const auto split = [](std::string_view text) {
+        std::vector<std::string> tokens;
+        for (const auto token : siren::util::split_view(text, ' ')) {
+            if (!token.empty()) tokens.emplace_back(token);
+        }
+        return tokens;
+    };
+    const auto join = [](const std::vector<std::string>& tokens) {
+        std::string out;
+        for (const auto& t : tokens) out += (out.empty() ? "" : " ") + t;
+        return out;
+    };
+    const auto mutate = [&](std::string frame) {
+        const auto tokens = split(frame);
+        if (tokens.empty()) return frame;
+        switch (rng.below(5)) {
+            case 0:  // byte flips
+                for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n && !frame.empty(); ++i) {
+                    frame[rng.index(frame.size())] = static_cast<char>(rng.below(256));
+                }
+                return frame;
+            case 1:  // truncation
+                return frame.substr(0, rng.index(frame.size() + 1));
+            case 2: {  // splice: this frame's head onto another frame's tail
+                const auto other = split(seeds[rng.index(seeds.size())]);
+                std::vector<std::string> spliced(tokens.begin(),
+                                                 tokens.begin() + rng.index(tokens.size() + 1));
+                spliced.insert(spliced.end(), other.begin() + rng.index(other.size() + 1),
+                               other.end());
+                return join(spliced);
+            }
+            case 3: {  // a token dropped, duplicated or swapped with a neighbour
+                auto edited = tokens;
+                const auto i = rng.index(edited.size());
+                const auto op = rng.below(3);
+                if (op == 0) edited.erase(edited.begin() + static_cast<std::ptrdiff_t>(i));
+                if (op == 1) edited.insert(edited.begin() + static_cast<std::ptrdiff_t>(i), edited[i]);
+                if (op == 2 && i + 1 < edited.size()) std::swap(edited[i], edited[i + 1]);
+                return join(edited);
+            }
+            default: {  // a token replaced by a grammar word or a number
+                static const char* kWords[] = {
+                    "C", "B", "0", "1", "7", "-3", "99999999999999999999", "IDENTIFY",
+                    "IDENTIFYB", "3:abc:def", "-3:kTqWx3NvZrLm8PbC5dYhJf2Ag4:x",
+                    "18446744073709551615:kTqWx3NvZrLm8PbC5dYhJf2Ag4:x", "1536::", ""};
+                auto edited = tokens;
+                edited[rng.index(edited.size())] = kWords[rng.index(std::size(kWords))];
+                return join(edited);
+            }
+        }
+    };
+
+    // The documented reply shapes: "OK n" + n lines of
+    // "match family fused content behavior name" (IDENTIFY) or of
+    // "match family score name" / "unknown", one per digest (IDENTIFYB).
+    const auto shape_error = [&](const std::string& request,
+                                 const std::string& reply) -> std::string {
+        if (reply.starts_with("ERR ")) return {};
+        if (!reply.starts_with("OK ")) return "neither OK nor ERR";
+        const auto words = split(std::string(siren::util::trim(request)));
+        const bool batch = words.front() == "IDENTIFYB";
+        auto lines = siren::util::split_view(reply, '\n');
+        if (lines.back().empty()) lines.pop_back();
+        unsigned long long count = 0;
+        if (!siren::util::parse_decimal(lines.front().substr(3), count)) return "bad header";
+        if (lines.size() != count + 1) return "line count disagrees with the header";
+        if (batch && count != words.size() - 1) return "IDENTIFYB answered a different count";
+        if (!batch && count > 6) return "more families than the registry holds";
+        for (std::size_t i = 1; i < lines.size(); ++i) {
+            if (batch && lines[i] == "unknown") continue;
+            const auto fields = split(lines[i]);
+            if (fields.size() != (batch ? 4u : 6u) || fields.front() != "match" ||
+                !fields.back().starts_with("fam-")) {
+                return "bad line '" + std::string(lines[i]) + "'";
+            }
+            for (std::size_t f = 1; f + 1 < fields.size(); ++f) {
+                long value = 0;
+                if (!siren::util::parse_decimal(fields[f], value) || value > 100) {
+                    return "bad number in '" + std::string(lines[i]) + "'";
+                }
+            }
+        }
+        return {};
+    };
+
+    std::size_t ok = 0;
+    std::size_t err = 0;
+    for (int iteration = 0; iteration < 300000; ++iteration) {
+        auto frame = seeds[rng.index(seeds.size())];
+        for (std::uint64_t round = 0, rounds = 1 + rng.below(3); round < rounds; ++round) {
+            frame = mutate(std::move(frame));
+        }
+        std::string reply;
+        ASSERT_NO_THROW(reply = sv::execute_query(service, frame)) << frame;
+        const auto problem = shape_error(frame, reply);
+        ASSERT_TRUE(problem.empty()) << problem << "\nrequest: " << frame << "\nreply: " << reply;
+        ++(reply.starts_with("OK ") ? ok : err);
+    }
+    // Both outcomes occur, so the sweep checks shapes, not just errors.
+    EXPECT_GT(ok, 1000u);
+    EXPECT_GT(err, 1000u);
 }

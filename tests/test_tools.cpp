@@ -1,4 +1,5 @@
-// End-to-end tests of the operator CLIs (siren_hash, siren_registry):
+// End-to-end tests of the operator CLIs (siren_hash, siren_registry,
+// siren_query, siren_recognized, siren_shard, bench_to_json.py):
 // real fork/exec of the built binaries, exit codes and stdout contracts.
 
 #include <gtest/gtest.h>
@@ -161,6 +162,9 @@ TEST(ToolsRegistry, UsageErrorsExitOne) {
 #ifndef SIREN_RECOGNIZED_PATH
 #define SIREN_RECOGNIZED_PATH "siren_recognized"
 #endif
+#ifndef SIREN_SHARD_PATH
+#define SIREN_SHARD_PATH "siren_shard"
+#endif
 
 TEST(ToolsQuery, UnknownFlagIsUsageErrorNotTablesView) {
     // Regression: `siren_query DB --bogus` used to fall through to the
@@ -172,8 +176,13 @@ TEST(ToolsQuery, UnknownFlagIsUsageErrorNotTablesView) {
 }
 
 TEST(ToolsQuery, UnknownLeadingFlagIsUsageError) {
-    const auto r = run(SIREN_QUERY_PATH, {"--bogus", "x"});
+    auto r = run(SIREN_QUERY_PATH, {"--bogus", "x"});
     if (r.exit_code == -1) GTEST_SKIP() << "cannot spawn processes here";
+    EXPECT_EQ(r.exit_code, 1);
+    // Not modes: --identify2 takes "R - DIGEST 1" and "R DIGEST - K".
+    r = run(SIREN_QUERY_PATH, {"--identify-ts", "127.0.0.1:1", "3:abc:def"});
+    EXPECT_EQ(r.exit_code, 1);
+    r = run(SIREN_QUERY_PATH, {"--topn", "127.0.0.1:1", "3:abc:def", "3"});
     EXPECT_EQ(r.exit_code, 1);
 }
 
@@ -208,6 +217,29 @@ TEST(ToolsRecognized, UsageErrors) {
     EXPECT_EQ(r.exit_code, 1);
     r = run(SIREN_RECOGNIZED_PATH, {"0", "--seconds"});
     EXPECT_EQ(r.exit_code, 1) << "a flag missing its value is incomplete, not ignored";
+    // Shard ids are 32-bit; a wider one must not wrap onto shard 0 or 1.
+    // --seconds 1 bounds the run should the id ever be accepted again.
+    for (const char* id : {"4294967296", "4294967297"}) {
+        r = run(SIREN_RECOGNIZED_PATH, {"0", "--shard-id", id, "--seconds", "1"});
+        EXPECT_EQ(r.exit_code, 1) << "--shard-id " << id;
+    }
+}
+
+TEST(ToolsShard, MoveRejectsOwnerWiderThan32Bits) {
+    const auto map = (fs::temp_directory_path() / "siren_tools_shard.map").string();
+    const auto out = (fs::temp_directory_path() / "siren_tools_shard_out.map").string();
+    auto r = run(SIREN_SHARD_PATH, {"split", map, "1", "127.0.0.1:1,127.0.0.1:2", "1000"});
+    if (r.exit_code == -1) GTEST_SKIP() << "cannot spawn processes here";
+    ASSERT_EQ(r.exit_code, 0);
+    // 4294967297 would wrap to shard 1, which exists: it must be a usage
+    // error instead of a silent move.
+    r = run(SIREN_SHARD_PATH, {"move", map, out, "0", "99", "4294967297"});
+    EXPECT_EQ(r.exit_code, 1);
+    r = run(SIREN_SHARD_PATH, {"move", map, out, "0", "99", "1"});
+    EXPECT_EQ(r.exit_code, 0) << "a 32-bit owner still moves";
+    std::error_code ec;
+    fs::remove(map, ec);
+    fs::remove(out, ec);
 }
 
 #ifndef SIREN_BENCH_TO_JSON_PATH

@@ -124,26 +124,6 @@ def condense(raw: dict) -> dict:
     if value is not None:
         out["ratios"]["publish_delta_flatness"] = value
 
-    # Coalescing: concurrent singleton IDENTIFY throughput with the
-    # micro-batcher on, relative to the inline-execution baseline and to
-    # the explicit 64-probe IDENTIFYB ceiling. items/s is the honest
-    # metric here — the benches are multi-connection and real-time based.
-    def items_ratio(numer: str, denom: str):
-        a = out["benchmarks"].get(numer, {}).get("items_per_second")
-        b = out["benchmarks"].get(denom, {}).get("items_per_second")
-        if a and b and b > 0:
-            return round(a / b, 3)
-        return None
-
-    value = items_ratio("BM_ServeIdentifyTcpCoalesced/real_time/threads:4",
-                        "BM_ServeIdentifyTcpConcurrent/real_time/threads:4")
-    if value is not None:
-        out["ratios"]["identify_singleton_coalesced_vs_uncoalesced"] = value
-    value = items_ratio("BM_ServeIdentifyTcpCoalesced/real_time/threads:4",
-                        "BM_ServeIdentifyManyTcp/real_time")
-    if value is not None:
-        out["ratios"]["identify_singleton_coalesced_vs_batch"] = value
-
     # Replication: follower catch-up wall time over the leader's local
     # write wall time for the same corpus. Near 1x means shipping the log
     # keeps pace with writing it — the precondition for a follower ever
@@ -172,7 +152,15 @@ def condense(raw: dict) -> dict:
     # are measured serially; manual time is the worst shard, i.e. the
     # one-box-per-shard wall clock). CI gates >= 2.2x — partitioning must
     # buy real write scale-out — and sharded_topn_parity == 1, the
-    # cross-shard TOPN merge staying bit-identical to one registry.
+    # cross-shard ranked merge staying bit-identical to one registry.
+    # items/s is the honest metric for manual-time benches.
+    def items_ratio(numer: str, denom: str):
+        a = out["benchmarks"].get(numer, {}).get("items_per_second")
+        b = out["benchmarks"].get(denom, {}).get("items_per_second")
+        if a and b and b > 0:
+            return round(a / b, 3)
+        return None
+
     value = items_ratio("BM_ShardedObserve/3/manual_time",
                         "BM_ShardedObserve/1/manual_time")
     if value is not None:

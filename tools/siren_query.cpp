@@ -16,17 +16,16 @@
 //                                     trip
 //   siren_query --observe REPLICAS DIGEST [LABEL]
 //                                     record a sighting (optionally labeled)
-//   siren_query --identify-ts REPLICAS DIGEST
-//                                     behavior-channel identify: DIGEST is a
-//                                     shapelet digest of a runtime counter
-//                                     trace (docs/behavior_fingerprints.md)
 //   siren_query --observe-ts REPLICAS DIGEST [LABEL]
-//                                     record a behavioral sighting
+//                                     record a behavioral sighting: DIGEST is
+//                                     a shapelet digest of a runtime counter
+//                                     trace (docs/behavior_fingerprints.md)
 //   siren_query --identify2 REPLICAS CONTENT_DIGEST BEHAVIOR_DIGEST [K]
-//                                     fused identification over both
-//                                     channels ("-" skips a channel)
-//   siren_query --topn REPLICAS DIGEST K
-//                                     ranked candidate families for a digest
+//                                     the K (default 5) best families over
+//                                     either or both channels ("-" skips a
+//                                     channel): "- TS 1" is the behavior
+//                                     channel's best match, "DIGEST - K" the
+//                                     ranked content candidates
 //   siren_query --serve-stats REPLICAS
 //                                     service counters
 //   siren_query --serve-checkpoint REPLICAS
@@ -42,8 +41,8 @@
 //                                     through a serve::PartitionMap file
 //   siren_query --sharded-identify2 MAPFILE CONTENT BEHAVIOR [K]
 //                                     fused identify fanned across the
-//                                     probe ladder's owner shards with
-//                                     client-side TOPN merge ("-" skips)
+//                                     probe ladder's owner shards with a
+//                                     client-side ranked merge ("-" skips)
 //
 // REPLICAS is "HOST:PORT" or a comma-separated list of them (a leader and
 // its followers): reads round-robin across the list and fail over on a
@@ -59,6 +58,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,10 +79,8 @@ int usage() {
                  "       siren_query --identify REPLICAS DIGEST...\n"
                  "       siren_query --identify-file REPLICAS FILE\n"
                  "       siren_query --observe REPLICAS DIGEST [LABEL]\n"
-                 "       siren_query --identify-ts REPLICAS DIGEST\n"
                  "       siren_query --observe-ts REPLICAS DIGEST [LABEL]\n"
                  "       siren_query --identify2 REPLICAS CONTENT BEHAVIOR [K] ('-' skips)\n"
-                 "       siren_query --topn REPLICAS DIGEST K\n"
                  "       siren_query --serve-stats REPLICAS\n"
                  "       siren_query --serve-checkpoint REPLICAS\n"
                  "       siren_query --partmap REPLICAS\n"
@@ -91,6 +89,54 @@ int usage() {
                  "       siren_query --sharded-identify2 MAPFILE CONTENT BEHAVIOR [K]\n"
                  "       (REPLICAS = HOST:PORT[,HOST:PORT...])\n");
     return 1;
+}
+
+/// One line per digest of a positional identify_many answer.
+void print_identified(const std::vector<std::string>& digests,
+                      const std::vector<std::optional<siren::serve::Identified>>& matches) {
+    for (std::size_t i = 0; i < digests.size(); ++i) {
+        if (matches[i]) {
+            std::printf("%s -> %s (family %u, score %d)\n", digests[i].c_str(),
+                        matches[i]->name.c_str(), matches[i]->family, matches[i]->score);
+        } else {
+            std::printf("%s -> unknown\n", digests[i].c_str());
+        }
+    }
+}
+
+/// One line for a recorded sighting.
+void print_observed(const std::string& digest, const siren::serve::Identified& result) {
+    std::printf("%s -> family %u '%s' (score %d)%s\n", digest.c_str(), result.family,
+                result.name.c_str(), result.score, result.new_family ? " [new family]" : "");
+}
+
+/// The CONTENT BEHAVIOR [K] arguments of the identify2 modes ("-" skips a
+/// channel, K defaults to 5); nullopt on a usage error.
+std::optional<siren::serve::Probe> parse_probe(const std::vector<std::string>& args) {
+    if (args.size() < 3 || args.size() > 4) return std::nullopt;
+    siren::serve::Probe probe;
+    probe.content = args[1] == "-" ? std::string() : args[1];
+    probe.behavior = args[2] == "-" ? std::string() : args[2];
+    if (probe.content.empty() && probe.behavior.empty()) return std::nullopt;
+    long k = 5;
+    if (args.size() == 4 && (!siren::util::parse_decimal(args[3], k) || k <= 0)) {
+        return std::nullopt;
+    }
+    probe.k = static_cast<std::size_t>(k);
+    return probe;
+}
+
+/// One line per ranked family, best first.
+void print_ranking(const std::vector<siren::serve::FusedIdentified>& matches) {
+    if (matches.empty()) {
+        std::printf("unknown (no family above threshold on either channel)\n");
+        return;
+    }
+    for (const auto& match : matches) {
+        std::printf("%-24s family %-6u fused %-3d content %-3d behavior %d\n",
+                    match.name.c_str(), match.family, match.score, match.content_score,
+                    match.behavior_score);
+    }
 }
 
 int serve_mode(const std::string& mode, const std::vector<std::string>& args) {
@@ -109,16 +155,7 @@ int serve_mode(const std::string& mode, const std::vector<std::string>& args) {
         if (mode == "--identify") {
             if (args.size() < 2) return usage();
             const std::vector<std::string> digests(args.begin() + 1, args.end());
-            const auto matches = client.identify_many(digests);
-            for (std::size_t i = 0; i < digests.size(); ++i) {
-                if (matches[i]) {
-                    std::printf("%s -> %s (family %u, score %d)\n", digests[i].c_str(),
-                                matches[i]->name.c_str(), matches[i]->family,
-                                matches[i]->score);
-                } else {
-                    std::printf("%s -> unknown\n", digests[i].c_str());
-                }
-            }
+            print_identified(digests, client.identify_many(digests));
             return 0;
         }
         if (mode == "--identify-file") {
@@ -139,82 +176,21 @@ int serve_mode(const std::string& mode, const std::vector<std::string>& args) {
                 std::fprintf(stderr, "siren_query: '%s' holds no digests\n", args[1].c_str());
                 return 2;
             }
-            const auto matches = client.identify_many(digests);
-            for (std::size_t i = 0; i < digests.size(); ++i) {
-                if (matches[i]) {
-                    std::printf("%s -> %s (family %u, score %d)\n", digests[i].c_str(),
-                                matches[i]->name.c_str(), matches[i]->family,
-                                matches[i]->score);
-                } else {
-                    std::printf("%s -> unknown\n", digests[i].c_str());
-                }
-            }
+            print_identified(digests, client.identify_many(digests));
             return 0;
         }
-        if (mode == "--observe") {
+        if (mode == "--observe" || mode == "--observe-ts") {
             if (args.size() < 2 || args.size() > 3) return usage();
-            const auto result =
-                client.observe(args[1], args.size() == 3 ? args[2] : std::string());
-            std::printf("%s -> family %u '%s' (score %d)%s\n", args[1].c_str(), result.family,
-                        result.name.c_str(), result.score,
-                        result.new_family ? " [new family]" : "");
-            return 0;
-        }
-        if (mode == "--identify-ts") {
-            if (args.size() != 2) return usage();
-            const auto match = client.identify_behavior(args[1]);
-            if (match) {
-                std::printf("%s -> %s (family %u, score %d)\n", args[1].c_str(),
-                            match->name.c_str(), match->family, match->score);
-            } else {
-                std::printf("%s -> unknown\n", args[1].c_str());
-            }
-            return 0;
-        }
-        if (mode == "--observe-ts") {
-            if (args.size() < 2 || args.size() > 3) return usage();
-            const auto result =
-                client.observe_behavior(args[1], args.size() == 3 ? args[2] : std::string());
-            std::printf("%s -> family %u '%s' (score %d)%s\n", args[1].c_str(), result.family,
-                        result.name.c_str(), result.score,
-                        result.new_family ? " [new family]" : "");
+            const std::string hint = args.size() == 3 ? args[2] : std::string();
+            print_observed(args[1], mode == "--observe"
+                                        ? client.observe(args[1], hint)
+                                        : client.observe_behavior(args[1], hint));
             return 0;
         }
         if (mode == "--identify2") {
-            if (args.size() < 3 || args.size() > 4) return usage();
-            const std::string content = args[1] == "-" ? std::string() : args[1];
-            const std::string behavior = args[2] == "-" ? std::string() : args[2];
-            if (content.empty() && behavior.empty()) return usage();
-            long k = 5;
-            if (args.size() == 4 && (!siren::util::parse_decimal(args[3], k) || k <= 0)) {
-                return usage();
-            }
-            const auto matches =
-                client.identify_fused(content, behavior, static_cast<std::size_t>(k));
-            if (matches.empty()) {
-                std::printf("unknown (no family above threshold on either channel)\n");
-                return 0;
-            }
-            for (const auto& match : matches) {
-                std::printf("%-24s family %-6u fused %-3d content %-3d behavior %d\n",
-                            match.name.c_str(), match.family, match.score,
-                            match.content_score, match.behavior_score);
-            }
-            return 0;
-        }
-        if (mode == "--topn") {
-            if (args.size() != 3) return usage();
-            long k = 0;
-            if (!siren::util::parse_decimal(args[2], k) || k <= 0) return usage();
-            const auto matches = client.top_n(args[1], static_cast<std::size_t>(k));
-            if (matches.empty()) {
-                std::printf("unknown (no family above threshold)\n");
-                return 0;
-            }
-            for (const auto& match : matches) {
-                std::printf("%-24s family %-6u score %d\n", match.name.c_str(), match.family,
-                            match.score);
-            }
+            const auto probe = parse_probe(args);
+            if (!probe) return usage();
+            print_ranking(client.identify(*probe));
             return 0;
         }
         if (mode == "--serve-stats") {
@@ -259,11 +235,8 @@ int sharded_mode(const std::string& mode, const std::vector<std::string>& args) 
 
         if (mode == "--sharded-observe") {
             if (args.size() < 2 || args.size() > 3) return usage();
-            const auto result =
-                client.observe(args[1], args.size() == 3 ? args[2] : std::string());
-            std::printf("%s -> family %u '%s' (score %d)%s\n", args[1].c_str(), result.family,
-                        result.name.c_str(), result.score,
-                        result.new_family ? " [new family]" : "");
+            print_observed(args[1],
+                           client.observe(args[1], args.size() == 3 ? args[2] : std::string()));
             if (client.redirects_followed() > 0) {
                 std::printf("(followed %llu wrong_shard redirect%s; map now v%llu)\n",
                             static_cast<unsigned long long>(client.redirects_followed()),
@@ -273,26 +246,9 @@ int sharded_mode(const std::string& mode, const std::vector<std::string>& args) 
             return 0;
         }
         if (mode == "--sharded-identify2") {
-            if (args.size() < 3 || args.size() > 4) return usage();
-            siren::serve::Probe probe;
-            probe.content = args[1] == "-" ? std::string() : args[1];
-            probe.behavior = args[2] == "-" ? std::string() : args[2];
-            if (probe.content.empty() && probe.behavior.empty()) return usage();
-            long k = 5;
-            if (args.size() == 4 && (!siren::util::parse_decimal(args[3], k) || k <= 0)) {
-                return usage();
-            }
-            probe.k = static_cast<std::size_t>(k);
-            const auto matches = client.identify(probe);
-            if (matches.empty()) {
-                std::printf("unknown (no family above threshold on either channel)\n");
-                return 0;
-            }
-            for (const auto& match : matches) {
-                std::printf("%-24s family %-6u fused %-3d content %-3d behavior %d\n",
-                            match.name.c_str(), match.family, match.score,
-                            match.content_score, match.behavior_score);
-            }
+            const auto probe = parse_probe(args);
+            if (!probe) return usage();
+            print_ranking(client.identify(*probe));
             return 0;
         }
         return usage();
@@ -312,9 +268,8 @@ int main(int argc, char** argv) {
         // Service-client modes take the flag first; anything else that
         // looks like a flag is an error, not a silent fall-through.
         static const char* kServeModes[] = {"--identify",    "--identify-file",
-                                            "--observe",     "--identify-ts",
-                                            "--observe-ts",  "--identify2",
-                                            "--topn",        "--serve-stats",
+                                            "--observe",     "--observe-ts",
+                                            "--identify2",   "--serve-stats",
                                             "--serve-checkpoint", "--partmap",
                                             "--fprange"};
         for (const char* mode : kServeModes) {

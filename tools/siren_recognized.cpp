@@ -1,5 +1,5 @@
 // siren_recognized — the live recognition daemon: a snapshot-swap registry
-// service answering concurrent IDENTIFY/TOPN/OBSERVE/STATS queries over a
+// service answering concurrent IDENTIFY/OBSERVE/STATS queries over a
 // length-framed TCP protocol, optionally fed by an ingest daemon's durable
 // segments, checkpointed for crash recovery, and — since the replication
 // layer — deployable as a leader/follower fleet (docs/replication.md).
@@ -13,10 +13,7 @@
 //                          written periodically and at shutdown
 //     --checkpoint-secs S  checkpoint cadence (default 30, 0 = only final)
 //     --threshold N        registry match threshold (default 60)
-//     --batch-threads N    fan-out pool for multi-digest IDENTIFY (default 0)
-//     --batch-window-us U  coalesce singleton IDENTIFYs arriving within U
-//                          microseconds into one batch (default 0 = off)
-//     --batch-max N        max probes per coalesced batch (default 64)
+//     --batch-threads N    fan-out pool for IDENTIFYB batches (default 0)
 //     --seconds S          run duration (default: until SIGINT/SIGTERM)
 //     --poll-ms MS         segment follow cadence (default 20)
 //     --publish-ms MS      min spacing between snapshot publishes (default 5;
@@ -31,7 +28,7 @@
 //     --no-wal-fsync       skip the per-batch observe-WAL fsync
 //
 //   Follower: requires --segments as the *local replica* directory; the
-//   daemon serves IDENTIFY/TOPN from replicated state and rejects OBSERVE.
+//   daemon serves IDENTIFY from replicated state and rejects OBSERVE.
 //     --follow HOST:PORT   stream segments from this leader's --replicate
 //                          port and converge to its family assignments
 //
@@ -39,7 +36,8 @@
 //   of a partitioned fleet; OBSERVEs whose block size it does not own are
 //   rejected with `ERR wrong_shard` and PARTMAP serves the map to clients.
 //     --partition-map FILE serialized serve::PartitionMap to load
-//     --shard-id N         this daemon's shard id in the map (default 0)
+//     --shard-id N         this daemon's shard id in the map (default 0;
+//                          must fit 32 bits)
 //
 // Crash recovery = last checkpoint + replay of every segment record past
 // its watermark (see docs/recognition_service.md). Query with:
@@ -71,7 +69,6 @@ int usage() {
                  "usage: siren_recognized PORT [--bind ADDR] [--segments DIR]\n"
                  "                        [--checkpoint FILE] [--checkpoint-secs S]\n"
                  "                        [--threshold N] [--batch-threads N]\n"
-                 "                        [--batch-window-us U] [--batch-max N]\n"
                  "                        [--seconds S] [--poll-ms MS] [--publish-ms MS]\n"
                  "                        [--replicate PORT] [--replicate-bind ADDR]\n"
                  "                        [--no-wal-fsync] [--follow HOST:PORT]\n"
@@ -102,13 +99,11 @@ int main(int argc, char** argv) {
     long publish_ms = 5;
     long threshold = 60;
     long batch_threads = 0;
-    long batch_window_us = 0;
-    long batch_max = 64;
     long replicate_port = -1;  // -1 = replication off
     std::string replicate_bind;
     std::string follow_endpoint;
     std::string partition_map_path;
-    long shard_id = 0;
+    std::uint32_t shard_id = 0;
     for (int i = 2; i < argc; ++i) {
         const auto needs_value = [&](const char* flag) {
             return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
@@ -127,12 +122,6 @@ int main(int argc, char** argv) {
             }
         } else if (needs_value("--batch-threads")) {
             if (!parse_number(argv[++i], batch_threads)) return usage();
-        } else if (needs_value("--batch-window-us")) {
-            if (!parse_number(argv[++i], batch_window_us) || batch_window_us < 0) {
-                return usage();
-            }
-        } else if (needs_value("--batch-max")) {
-            if (!parse_number(argv[++i], batch_max) || batch_max < 1) return usage();
         } else if (needs_value("--seconds")) {
             if (!parse_number(argv[++i], run_seconds)) return usage();
         } else if (needs_value("--poll-ms")) {
@@ -152,7 +141,7 @@ int main(int argc, char** argv) {
         } else if (needs_value("--partition-map")) {
             partition_map_path = argv[++i];
         } else if (needs_value("--shard-id")) {
-            if (!parse_number(argv[++i], shard_id) || shard_id < 0) return usage();
+            if (!siren::serve::parse_shard_id(argv[++i], shard_id)) return usage();
         } else {
             std::fprintf(stderr, "siren_recognized: unknown or incomplete option '%s'\n",
                          argv[i]);
@@ -176,8 +165,6 @@ int main(int argc, char** argv) {
     options.feed_poll = std::chrono::milliseconds(poll_ms);
     options.publish_interval = std::chrono::milliseconds(publish_ms);
     options.batch_pool_threads = static_cast<std::size_t>(batch_threads);
-    options.coalesce.batch_window_us = static_cast<std::uint32_t>(batch_window_us);
-    options.coalesce.batch_max = static_cast<std::size_t>(batch_max);
     options.replication.observe_wal = replicate_port >= 0;
     options.replication.read_only = !follow_endpoint.empty();
     if (!partition_map_path.empty()) {
@@ -188,7 +175,7 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "siren_recognized: --partition-map: %s\n", e.what());
             return 2;
         }
-        options.partition.shard_id = static_cast<std::uint32_t>(shard_id);
+        options.partition.shard_id = shard_id;
     }
 
     std::signal(SIGINT, handle_signal);
@@ -244,8 +231,8 @@ int main(int argc, char** argv) {
                         follow_endpoint.c_str());
         }
         if (const auto map = service.partition_map()) {
-            std::printf("siren_recognized: shard %lu of %zu, partition map v%llu\n",
-                        static_cast<unsigned long>(shard_id), map->shard_count(),
+            std::printf("siren_recognized: shard %u of %zu, partition map v%llu\n",
+                        shard_id, map->shard_count(),
                         static_cast<unsigned long long>(map->version()));
         }
         std::fflush(stdout);  // scripted callers parse the ports from these lines

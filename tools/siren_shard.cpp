@@ -98,15 +98,15 @@ int split(const std::vector<std::string>& args) {
 
 int move_range(const std::vector<std::string>& args) {
     if (args.size() != 5) return usage();
-    unsigned long long lo = 0, hi = 0, owner = 0;
+    unsigned long long lo = 0, hi = 0;
+    std::uint32_t new_owner = 0;
     if (!parse_u64(args[2], lo) || !parse_u64(args[3], hi) || lo > hi ||
-        !parse_u64(args[4], owner)) {
+        !sv::parse_shard_id(args[4], new_owner)) {
         return usage();
     }
     const auto old_map = sv::load_partition_map(args[0]);
-    const auto new_owner = static_cast<std::uint32_t>(owner);
     if (old_map.shard(new_owner) == nullptr) {
-        std::fprintf(stderr, "siren_shard: map has no shard %llu\n", owner);
+        std::fprintf(stderr, "siren_shard: map has no shard %u\n", new_owner);
         return 2;
     }
     std::vector<sv::ShardInfo> shards = old_map.shards();
