@@ -38,6 +38,13 @@ siren::net::Message sample_message() {
 
 constexpr int kMessages = 50000;
 
+/// The receive-end handler every arm uses: counts delivered views.
+siren::net::BatchHandler count_into(std::atomic<std::uint64_t>& delivered) {
+    return [&delivered](std::size_t, std::span<const siren::net::MessageView> batch) {
+        delivered.fetch_add(batch.size(), std::memory_order_relaxed);
+    };
+}
+
 }  // namespace
 
 int main() {
@@ -48,27 +55,29 @@ int main() {
     siren::util::TextTable t({"Transport", "Scenario", "Messages", "Wall ms", "Msg/s",
                               "Delivered", "Send errors"});
 
-    // --- UDP with live receiver ---------------------------------------------
+    // --- UDP with live receiver: the ingest daemon without a store ----------
     {
-        siren::net::MessageQueue queue(1 << 18);
-        siren::net::UdpReceiver receiver(queue, 0);
-        siren::net::UdpSender sender("127.0.0.1", receiver.port());
+        siren::ingest::IngestOptions options;
+        options.shards = 2;
+        std::atomic<std::uint64_t> delivered{0};
+        siren::ingest::IngestServer server(options, count_into(delivered));
+        siren::net::UdpSender sender("127.0.0.1", server.port());
         siren::util::Stopwatch watch;
         for (int i = 0; i < kMessages; ++i) sender.send(wire);
         const double ms = watch.millis();
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        receiver.stop();
+        server.quiesce();
+        server.stop();
         t.add_row({"UDP", "receiver up", std::to_string(kMessages),
                    siren::util::fixed(ms, 1),
                    siren::util::with_commas(static_cast<std::uint64_t>(kMessages / (ms / 1e3))),
-                   siren::util::with_commas(receiver.stats().delivered.load()),
+                   siren::util::with_commas(delivered.load()),
                    std::to_string(sender.errors())});
     }
 
     // --- TCP with live receiver ---------------------------------------------
     {
-        siren::net::MessageQueue queue(1 << 18);
-        siren::net::TcpReceiver receiver(queue, 0);
+        std::atomic<std::uint64_t> delivered{0};
+        siren::net::TcpReceiver receiver(count_into(delivered), 0);
         siren::net::TcpSender sender("127.0.0.1", receiver.port());
         siren::util::Stopwatch watch;
         for (int i = 0; i < kMessages; ++i) sender.send(wire);
@@ -78,7 +87,7 @@ int main() {
         t.add_row({"TCP", "receiver up", std::to_string(kMessages),
                    siren::util::fixed(ms, 1),
                    siren::util::with_commas(static_cast<std::uint64_t>(kMessages / (ms / 1e3))),
-                   siren::util::with_commas(receiver.stats().delivered.load()),
+                   siren::util::with_commas(delivered.load()),
                    std::to_string(sender.errors())});
     }
 
@@ -92,13 +101,13 @@ int main() {
         for (int i = 0; i < kMessages; ++i) sender.send(wire);
         const double ms = watch.millis();
 
-        siren::net::MessageQueue queue(1 << 18);
-        const auto sweep = siren::net::drain_spool(spool.string(), queue);
+        std::atomic<std::uint64_t> delivered{0};
+        siren::net::drain_spool(spool.string(), count_into(delivered));
         fs::remove_all(spool);
         t.add_row({"Spool files", "sweep after", std::to_string(kMessages),
                    siren::util::fixed(ms, 1),
                    siren::util::with_commas(static_cast<std::uint64_t>(kMessages / (ms / 1e3))),
-                   siren::util::with_commas(sweep.delivered),
+                   siren::util::with_commas(delivered.load()),
                    std::to_string(sender.errors())});
     }
 
@@ -112,10 +121,7 @@ int main() {
         options.shards = 2;
         options.store = &store;
         std::atomic<std::uint64_t> delivered{0};
-        siren::ingest::IngestServer server(
-            options, [&delivered](std::size_t, std::span<const siren::net::MessageView> batch) {
-                delivered.fetch_add(batch.size(), std::memory_order_relaxed);
-            });
+        siren::ingest::IngestServer server(options, count_into(delivered));
         siren::net::UdpSender sender("127.0.0.1", server.port());
         siren::util::Stopwatch watch;
         for (int i = 0; i < kMessages; ++i) sender.send(wire);

@@ -1,32 +1,45 @@
 // Live capture with the real LD_PRELOAD collector.
 //
-//   $ ./examples/live_capture [path/to/libsiren_preload.so] [command...]
+//   $ ./example_live_capture [path/to/libsiren_preload.so] [command...]
 //
-// Starts the UDP receiver, runs `command` (default: /bin/ls /) with
-// libsiren_preload.so injected, and prints the consolidated record of what
-// the hooked process reported — SIREN's actual deployment mechanism on a
-// single machine.
+// Starts a one-shard in-memory ingest server, runs `command` (default:
+// /bin/ls /) with libsiren_preload.so injected, and prints the consolidated
+// record of what the hooked process reported — SIREN's actual deployment
+// mechanism on a single machine. The default shim is the one the build
+// puts beside this binary.
 
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <mutex>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "consolidate/consolidator.hpp"
-#include "net/channel.hpp"
-#include "net/udp.hpp"
+#include "ingest/ingest_server.hpp"
 
 int main(int argc, char** argv) {
-    const std::string preload = argc > 1 ? argv[1] : "src/preload/libsiren_preload.so";
+    std::error_code ec;
+    const std::string preload =
+        argc > 1 ? argv[1]
+                 : (std::filesystem::read_symlink("/proc/self/exe", ec).parent_path() /
+                    "libsiren_preload.so")
+                       .string();
 
-    siren::net::MessageQueue queue(8192);
-    siren::net::UdpReceiver receiver(queue, 0);
-    std::printf("receiver listening on udp://127.0.0.1:%u\n", receiver.port());
+    std::mutex mutex;
+    std::vector<siren::net::Message> messages;
+    siren::ingest::IngestOptions options;
+    options.shards = 1;
+    siren::ingest::IngestServer server(
+        options, [&](std::size_t, std::span<const siren::net::MessageView> batch) {
+            std::lock_guard lock(mutex);
+            for (const auto& view : batch) messages.push_back(view.to_message());
+        });
+    std::printf("receiver listening on udp://127.0.0.1:%u\n", server.port());
 
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -35,7 +48,7 @@ int main(int argc, char** argv) {
     }
     if (pid == 0) {
         ::setenv("LD_PRELOAD", preload.c_str(), 1);
-        ::setenv("SIREN_PORT", std::to_string(receiver.port()).c_str(), 1);
+        ::setenv("SIREN_PORT", std::to_string(server.port()).c_str(), 1);
         ::setenv("SLURM_JOB_ID", "20240001", 1);
         ::setenv("SLURM_PROCID", "0", 1);
         if (argc > 2) {
@@ -47,14 +60,9 @@ int main(int argc, char** argv) {
     }
     int status = 0;
     ::waitpid(pid, &status, 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    receiver.stop();
+    server.quiesce();
+    server.stop();
 
-    std::vector<siren::net::Message> messages;
-    while (auto m = queue.pop()) {
-        messages.push_back(std::move(*m));
-        if (queue.size() == 0) break;
-    }
     std::printf("child exited %d; received %zu datagrams\n\n",
                 WIFEXITED(status) ? WEXITSTATUS(status) : -1, messages.size());
     if (messages.empty()) {

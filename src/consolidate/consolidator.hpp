@@ -47,7 +47,8 @@ ConsolidationResult consolidate(const std::vector<net::Message>& messages);
 /// stay alive for the duration of the call.
 ConsolidationResult consolidate(std::span<const net::MessageView> messages);
 
-/// Same, reading from the raw-message table a ReceiverService populated.
+/// Same, reading from the raw-message table (db::kMessagesTable) that an
+/// ingest handler populated.
 ConsolidationResult consolidate(const db::Database& db);
 
 /// Stateful variant of the view overload for steady-state callers (one per

@@ -9,7 +9,6 @@
 #include "ingest/ingest_server.hpp"
 #include "net/channel.hpp"
 #include "net/codec.hpp"
-#include "net/udp.hpp"
 #include "storage/segment_store.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
@@ -25,9 +24,6 @@ FrameworkOptions FrameworkOptions::from_env() {
     o.loss_rate = util::get_env_double("SIREN_LOSS", o.loss_rate);
     o.seed = static_cast<std::uint64_t>(util::get_env_int("SIREN_SEED", static_cast<std::int64_t>(o.seed)));
     o.threads = static_cast<std::size_t>(util::get_env_int("SIREN_THREADS", 0));
-    o.use_ingest = util::get_env_int("SIREN_INGEST", 0) != 0;
-    o.ingest_shards = static_cast<std::size_t>(
-        util::get_env_int("SIREN_INGEST_SHARDS", static_cast<std::int64_t>(o.ingest_shards)));
     o.durable_dir = util::get_env_or("SIREN_DURABLE_DIR", o.durable_dir);
     return o;
 }
@@ -152,85 +148,76 @@ CampaignResult run_inline(const workload::Generator& generator,
     return result;
 }
 
+/// Transport that applies the seeded Bernoulli loss model and injects the
+/// surviving datagrams into an ingest server, spread round-robin over its
+/// shards. One Rng draw per datagram in send order, and none at loss 0, so
+/// a seed loses the same datagrams on every run.
+class IngestFeed : public net::Transport {
+public:
+    IngestFeed(ingest::IngestServer& server, double loss_rate, std::uint64_t seed)
+        : server_(server), loss_rate_(loss_rate), rng_(seed) {}
+
+    void send(std::string_view datagram) noexcept override {
+        const std::size_t shard = sent_++ % server_.shards();
+        if (loss_rate_ > 0.0 && rng_.chance(loss_rate_)) {
+            ++lost_;
+            return;
+        }
+        // A full ring is backpressure, not loss: wait for the shard worker.
+        // Only an oversize datagram is refused for good (the server counts it).
+        while (!server_.inject(shard, datagram) &&
+               datagram.size() <= ingest::SpscRing::kSlotBytes) {
+            std::this_thread::yield();
+        }
+    }
+
+    std::uint64_t sent() const { return sent_; }
+    std::uint64_t lost() const { return lost_; }
+
+private:
+    ingest::IngestServer& server_;
+    double loss_rate_;
+    util::Rng rng_;
+    std::uint64_t sent_ = 0;
+    std::uint64_t lost_ = 0;
+};
+
+/// Database mode: the paper's receiver -> raw-message table architecture.
+/// The collector's datagrams pass the seeded loss model into an in-process
+/// ingest server, whose shard workers journal them to the (optional)
+/// segment store and insert each decoded message into the messages table;
+/// consolidation then reads the table back.
 CampaignResult run_database(const workload::Generator& generator,
                             const collect::FileStore& store, const FrameworkOptions& options) {
     CampaignResult result;
     result.database = std::make_unique<db::Database>();
-
-    std::unique_ptr<storage::SegmentStore> wal;
-    const std::size_t wal_shards = std::max<std::size_t>(options.ingest_shards, 2);
-    if (!options.durable_dir.empty()) {
-        wal = std::make_unique<storage::SegmentStore>(options.durable_dir, wal_shards);
-    }
-
-    net::MessageQueue queue(1 << 20);
-    net::InMemoryChannel channel(queue, options.loss_rate, options.seed);
-    {
-        db::ReceiverService receiver(queue, *result.database, /*workers=*/2, wal.get());
-        collect::Collector collector(store, channel);
-        generator.run([&](const sim::SimProcess& p) { collector.collect(p); });
-        queue.close();
-        receiver.finish();
-        result.processes_collected = collector.stats().processes_collected.load();
-        result.collection_errors = collector.stats().collection_errors.load();
-    }
-    result.datagrams_sent = channel.stats().sent.load();
-    result.datagrams_lost = channel.stats().lost.load() + queue.dropped();
-    result.datagrams_malformed = channel.stats().malformed.load();
-    if (wal) {
-        result.wal_records = wal->appended();
-        result.wal_bytes = wal->appended_bytes();
-    }
-
-    auto consolidated = consolidate::consolidate(*result.database);
-    for (const auto& record : consolidated.records) result.aggregates.add(record);
-    result.records = std::move(consolidated.records);
-    return result;
-}
-
-/// Database mode over the production spine: the collector sends real UDP
-/// datagrams on loopback into the sharded epoll ingest daemon, whose shard
-/// workers journal them to the (optional) segment store and insert decoded
-/// messages into the raw-message table. The seeded Bernoulli loss model
-/// does not apply here — loss is whatever the kernel socket path does.
-CampaignResult run_database_ingest(const workload::Generator& generator,
-                                   const collect::FileStore& store,
-                                   const FrameworkOptions& options) {
-    CampaignResult result;
-    result.database = std::make_unique<db::Database>();
     db::Table& table = db::create_message_table(*result.database);
 
-    const std::size_t shards = std::max<std::size_t>(1, options.ingest_shards);
+    ingest::IngestOptions ingest_options;
     std::unique_ptr<storage::SegmentStore> wal;
     if (!options.durable_dir.empty()) {
-        wal = std::make_unique<storage::SegmentStore>(options.durable_dir, shards);
+        wal = std::make_unique<storage::SegmentStore>(options.durable_dir, ingest_options.shards);
+        ingest_options.store = wal.get();
     }
-
-    ingest::IngestOptions ingest_options;
-    ingest_options.shards = shards;
-    ingest_options.store = wal.get();
     ingest::IngestServer server(
         ingest_options, [&table](std::size_t, std::span<const net::MessageView> batch) {
-            // Table::append is internally synchronized; shard workers can
-            // insert concurrently.
             for (const auto& view : batch) db::insert_message(table, view.to_message());
         });
 
-    {
-        net::UdpSender sender("127.0.0.1", server.port());
-        collect::Collector collector(store, sender);
-        generator.run([&](const sim::SimProcess& p) { collector.collect(p); });
-        result.processes_collected = collector.stats().processes_collected.load();
-        result.collection_errors = collector.stats().collection_errors.load();
-        result.datagrams_sent = sender.sent();
-    }
-    server.quiesce();
+    // The generator thread is the feed's only caller, so every shard ring
+    // keeps the single producer inject() requires.
+    IngestFeed feed(server, options.loss_rate, options.seed);
+    collect::Collector collector(store, feed);
+    generator.run([&](const sim::SimProcess& p) { collector.collect(p); });
+    server.drain();
     server.stop();
 
     const ingest::IngestStats stats = server.stats();
+    result.processes_collected = collector.stats().processes_collected.load();
+    result.collection_errors = collector.stats().collection_errors.load();
+    result.datagrams_sent = feed.sent();
+    result.datagrams_lost = feed.lost() + stats.oversize;
     result.datagrams_malformed = stats.malformed;
-    result.datagrams_lost =
-        result.datagrams_sent - std::min(result.datagrams_sent, stats.decoded + stats.malformed);
     if (wal) {
         result.wal_records = wal->appended();
         result.wal_bytes = wal->appended_bytes();
@@ -259,10 +246,8 @@ CampaignResult run_campaign(const workload::CampaignSpec& spec, const FrameworkO
                    std::to_string(generator.totals().processes) + " processes, " +
                    std::to_string(store.size()) + " unique executables");
 
-    CampaignResult result = options.use_database
-                                ? (options.use_ingest ? run_database_ingest(generator, store, options)
-                                                      : run_database(generator, store, options))
-                                : run_inline(generator, store, options);
+    CampaignResult result = options.use_database ? run_database(generator, store, options)
+                                                 : run_inline(generator, store, options);
     result.totals = generator.totals();
     result.wall_seconds = watch.seconds();
     return result;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analytics/aggregate.hpp"
@@ -23,27 +24,20 @@ struct FrameworkOptions {
     std::uint64_t seed = 42;
     /// Worker threads for generation+collection; 0 = hardware concurrency.
     std::size_t threads = 0;
-    /// Route messages through the raw-message database (the paper's
-    /// receiver->SQLite path) instead of the O(1)-memory inline pipeline.
-    /// Only sensible at small scales; the full campaign produces ~10M
-    /// messages.
+    /// Database mode: store every raw message before consolidating (the
+    /// paper's receiver->SQLite path) instead of running the O(1)-memory
+    /// inline pipeline. Datagrams pass a seeded loss draw into an
+    /// in-process ingest::IngestServer whose handler inserts them into the
+    /// messages table. Only sensible at small scales; the full campaign
+    /// produces ~10M messages.
     bool use_database = false;
-    /// Database mode only: replace the InMemoryChannel + MessageQueue pair
-    /// with the production spine — real UDP datagrams on loopback into the
-    /// sharded epoll ingest daemon (ingest::IngestServer). Loss then comes
-    /// from actual kernel/socket behavior, not the seeded Bernoulli model,
-    /// so it is no longer deterministic.
-    bool use_ingest = false;
-    /// Shard count for the ingest daemon (sockets × rings × workers).
-    std::size_t ingest_shards = 2;
-    /// Non-empty: journal raw datagrams to a durable segment store rooted
-    /// here (database mode; both the ingest daemon and the classic
-    /// ReceiverService honor it). Recover with db::replay_segments().
+    /// Database mode only: non-empty journals every raw datagram to a
+    /// durable segment store rooted here before it is decoded. Recover
+    /// with db::replay_segments().
     std::string durable_dir;
 
     /// Defaults overridden by SIREN_SCALE / SIREN_SEED / SIREN_THREADS /
-    /// SIREN_LOSS / SIREN_INGEST / SIREN_INGEST_SHARDS / SIREN_DURABLE_DIR
-    /// when set.
+    /// SIREN_LOSS / SIREN_DURABLE_DIR when set.
     static FrameworkOptions from_env();
 };
 

@@ -61,6 +61,10 @@ void Database::save(const std::string& directory) const {
             }
             out << '\n';
         }
+        // A full disk or an I/O error only shows once the buffer reaches
+        // the file: a save that lost rows must not look like success.
+        out.flush();
+        if (!out) throw util::SystemError("write failed for table file of '" + name + "'");
     }
 }
 

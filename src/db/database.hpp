@@ -28,7 +28,8 @@ public:
     bool has_table(const std::string& name) const;
     std::vector<std::string> table_names() const;
 
-    /// Write every table into `directory` (created if needed).
+    /// Write every table into `directory` (created if needed); throws
+    /// util::SystemError when a table file cannot be fully written.
     void save(const std::string& directory) const;
 
     /// Load every `*.tsv` in `directory` into a fresh database.

@@ -53,43 +53,6 @@ net::Message message_from_row(const Table& table, std::size_t row) {
     return m;
 }
 
-ReceiverService::ReceiverService(net::MessageQueue& queue, Database& db, std::size_t workers,
-                                 storage::SegmentStore* wal)
-    : queue_(queue),
-      table_(db.has_table(kMessagesTable) ? db.table(kMessagesTable) : create_message_table(db)),
-      wal_(wal) {
-    util::require(workers >= 1, "ReceiverService needs at least one worker");
-    if (wal_ != nullptr) {
-        util::require(wal_->shards() >= workers,
-                      "ReceiverService WAL needs one segment shard per worker");
-    }
-    workers_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-        workers_.emplace_back([this, i] {
-            std::string wire;  // reused wire buffer: encode_into allocates only to warm it
-            while (auto m = queue_.pop()) {
-                if (wal_ != nullptr) {
-                    net::encode_into(*m, wire);
-                    if (wal_->append(i, wire)) {
-                        journaled_.fetch_add(1, std::memory_order_relaxed);
-                    }
-                }
-                insert_message(table_, *m);
-                inserted_.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-}
-
-ReceiverService::~ReceiverService() { finish(); }
-
-void ReceiverService::finish() {
-    for (auto& w : workers_) {
-        if (w.joinable()) w.join();
-    }
-    if (wal_ != nullptr) wal_->sync_all();
-}
-
 SegmentReplayResult replay_segments(const std::string& directory, Database& db) {
     SegmentReplayResult result;
     Table& table =

@@ -1,19 +1,15 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
-#include <vector>
+#include <string>
 
 #include "db/database.hpp"
-#include "net/channel.hpp"
 #include "net/message.hpp"
 #include "storage/segment.hpp"
-#include "storage/segment_store.hpp"
 
 namespace siren::db {
 
-/// Name of the raw-message table every receiver writes into.
+/// Name of the raw-message table every receive handler writes into.
 inline constexpr const char* kMessagesTable = "messages";
 
 /// Create the raw UDP-message table with the paper's column set
@@ -25,42 +21,6 @@ void insert_message(Table& table, const net::Message& m);
 
 /// Reconstruct a net::Message from a stored row (used by consolidation).
 net::Message message_from_row(const Table& table, std::size_t row);
-
-/// The receiver server: drains a MessageQueue into the messages table with
-/// `workers` threads — the C++ rendition of the paper's Go server reading a
-/// buffered channel and inserting into SQLite. Stop by closing the queue;
-/// the destructor joins.
-///
-/// Durable mode: pass a storage::SegmentStore (with at least `workers`
-/// writer shards) and every message is re-encoded to its wire form and
-/// journaled to worker-private segment streams before insertion — the
-/// in-memory table gains a crash-recoverable WAL. Rebuild with
-/// replay_segments() after a crash.
-class ReceiverService {
-public:
-    ReceiverService(net::MessageQueue& queue, Database& db, std::size_t workers = 2,
-                    storage::SegmentStore* wal = nullptr);
-    ~ReceiverService();
-
-    ReceiverService(const ReceiverService&) = delete;
-    ReceiverService& operator=(const ReceiverService&) = delete;
-
-    /// Blocks until the queue is closed and fully drained, then joins.
-    /// In durable mode, also syncs the WAL.
-    void finish();
-
-    std::uint64_t inserted() const { return inserted_.load(); }
-    /// Messages journaled to the WAL (durable mode only).
-    std::uint64_t journaled() const { return journaled_.load(); }
-
-private:
-    net::MessageQueue& queue_;
-    Table& table_;
-    storage::SegmentStore* wal_;
-    std::vector<std::thread> workers_;
-    std::atomic<std::uint64_t> inserted_{0};
-    std::atomic<std::uint64_t> journaled_{0};
-};
 
 /// Outcome of rebuilding the messages table from a segment directory.
 struct SegmentReplayResult {

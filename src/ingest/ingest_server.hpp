@@ -4,16 +4,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "ingest/spsc_ring.hpp"
+#include "net/channel.hpp"
 #include "net/message.hpp"
 #include "storage/segment_store.hpp"
 
@@ -85,19 +84,15 @@ struct IngestStats {
 /// batch to the handler. The hot path — recv, ring push, arena append,
 /// decode — takes no lock and performs no steady-state allocation; the
 /// only mutexes live in cold paths (segment seal bookkeeping, stats
-/// snapshots are atomics).
-///
-/// Contrast with net::UdpReceiver: that is the single-socket legacy path
-/// feeding a mutex-guarded MessageQueue of owned Messages; this is the
-/// campaign-scale replacement the ROADMAP's traffic goals call for.
+/// snapshots are atomics). It is the only receiver that buffers datagrams
+/// for storage: siren_ingestd, database-mode campaigns and
+/// examples/live_capture all run it.
 class IngestServer {
 public:
-    /// Invoked once per drained batch, on that shard's worker thread. The
-    /// views alias a per-shard arena and are valid only during the call.
-    /// Handlers run concurrently across shards — synchronize shared sinks
-    /// (db::Table::append already is).
-    using BatchHandler =
-        std::function<void(std::size_t shard, std::span<const net::MessageView> batch)>;
+    /// Invoked once per drained batch, on that shard's worker thread, with
+    /// the shard index as `source`. The views alias a per-shard arena.
+    /// Handlers run concurrently across shards (see net::BatchHandler).
+    using BatchHandler = net::BatchHandler;
 
     /// Binds sockets and starts 2*shards threads; throws util::SystemError
     /// when sockets cannot be created/bound.

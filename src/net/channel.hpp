@@ -1,91 +1,33 @@
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <string>
+#include <span>
 #include <string_view>
 
 #include "net/message.hpp"
-#include "util/rng.hpp"
 
 namespace siren::net {
 
 /// Abstract datagram transport: the collector's only dependency on the
-/// outside world. Implementations: UdpSender (real sockets) and
-/// InMemoryChannel (deterministic, lossy, used for campaign-scale runs).
-/// send() must never throw — "fire and forget" (paper §3.1): collection
-/// failures must not disturb the hooked user process.
+/// outside world. Implementations: UdpSender (real sockets), the inline
+/// and database campaign pipelines (core/framework.cpp), and the TCP and
+/// spool-file ablation baselines. send() must never throw — "fire and
+/// forget" (paper §3.1): collection failures must not disturb the hooked
+/// user process.
 class Transport {
 public:
     virtual ~Transport() = default;
     virtual void send(std::string_view datagram) noexcept = 0;
 };
 
-/// Bounded MPMC queue — the C++ equivalent of the Go receiver's buffered
-/// channel. push() drops when full (counted), mirroring how a saturated UDP
-/// socket buffer drops datagrams instead of back-pressuring senders.
-class MessageQueue {
-public:
-    explicit MessageQueue(std::size_t capacity = 65536);
-
-    /// Non-blocking; false when the queue was full and the item dropped.
-    bool push(Message m);
-
-    /// Blocks until an item arrives or close() is called; nullopt on closed
-    /// and drained.
-    std::optional<Message> pop();
-
-    /// Wake all poppers; subsequent pops drain the backlog then return
-    /// nullopt.
-    void close();
-
-    std::uint64_t dropped() const { return dropped_.load(); }
-    std::size_t size() const;
-
-private:
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<Message> items_;
-    std::size_t capacity_;
-    bool closed_ = false;
-    std::atomic<std::uint64_t> dropped_{0};
-};
-
-/// Counters shared by all transports.
-struct ChannelStats {
-    std::atomic<std::uint64_t> sent{0};        ///< datagrams handed to send()
-    std::atomic<std::uint64_t> lost{0};        ///< dropped by the channel
-    std::atomic<std::uint64_t> delivered{0};   ///< decoded and enqueued
-    std::atomic<std::uint64_t> malformed{0};   ///< decode failures
-};
-
-/// Deterministic in-process transport with Bernoulli packet loss.
-///
-/// Replaces the kernel UDP path for experiments: the full LUMI-scale
-/// campaign pushes millions of datagrams, and the loss experiment
-/// (paper: ~0.02% of jobs had missing fields) needs reproducible drops.
-class InMemoryChannel : public Transport {
-public:
-    /// loss_rate in [0,1]; seed drives the drop decisions.
-    explicit InMemoryChannel(MessageQueue& queue, double loss_rate = 0.0,
-                             std::uint64_t seed = 1);
-
-    void send(std::string_view datagram) noexcept override;
-
-    const ChannelStats& stats() const { return stats_; }
-
-private:
-    MessageQueue& queue_;
-    double loss_rate_;
-    std::mutex rng_mutex_;
-    util::Rng rng_;
-    ChannelStats stats_;
-};
+/// The receive end's one contract: every receiver (ingest::IngestServer,
+/// TcpReceiver, drain_spool) hands decoded views to a handler of this type.
+/// `source` is the shard, connection or sweep that produced the batch. The
+/// views alias receiver-owned bytes and are valid only during the call.
+/// Receivers with several threads call it concurrently — synchronize
+/// shared sinks (db::Table::append already is).
+using BatchHandler =
+    std::function<void(std::size_t source, std::span<const MessageView> batch)>;
 
 }  // namespace siren::net

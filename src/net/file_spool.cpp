@@ -55,7 +55,7 @@ void FileSpoolSender::send(std::string_view datagram) noexcept {
     }
 }
 
-SpoolDrainStats drain_spool(const std::string& spool_dir, MessageQueue& queue) {
+SpoolDrainStats drain_spool(const std::string& spool_dir, const BatchHandler& handler) {
     SpoolDrainStats stats;
     std::error_code ec;
     fs::directory_iterator it(spool_dir, ec);
@@ -70,22 +70,21 @@ SpoolDrainStats drain_spool(const std::string& spool_dir, MessageQueue& queue) {
     }
     std::sort(files.begin(), files.end());
 
+    MessageView view;
     for (const auto& path : files) {
         ++stats.files_seen;
         std::ifstream in(path, std::ios::binary);
         std::string payload((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
+        fs::remove(path, ec);
         try {
-            Message m = decode(payload);
-            if (queue.push(std::move(m))) {
-                ++stats.delivered;
-            } else {
-                ++stats.dropped;
-            }
+            decode_view(payload, view);
         } catch (const util::ParseError&) {
             ++stats.malformed;
+            continue;
         }
-        fs::remove(path, ec);
+        ++stats.delivered;
+        if (handler) handler(0, std::span<const MessageView>(&view, 1));
     }
     return stats;
 }

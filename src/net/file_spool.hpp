@@ -51,15 +51,15 @@ private:
 /// Result of one spool sweep.
 struct SpoolDrainStats {
     std::uint64_t files_seen = 0;
-    std::uint64_t delivered = 0;   ///< decoded and enqueued
+    std::uint64_t delivered = 0;   ///< decoded and handed to the handler
     std::uint64_t malformed = 0;   ///< decode failures (file still removed)
-    std::uint64_t dropped = 0;     ///< queue full
 };
 
-/// Consume every `*.msg` file in `spool_dir` into the queue (the periodic
-/// consolidation sweep of the file-based design), deleting consumed files.
-/// Files are processed in name order, so seq ordering is preserved per
-/// sender. Missing directory = empty sweep, not an error.
-SpoolDrainStats drain_spool(const std::string& spool_dir, MessageQueue& queue);
+/// Consume every `*.msg` file in `spool_dir` (the periodic consolidation
+/// sweep of the file-based design), deleting consumed files. Each decoded
+/// file reaches `handler` as a one-view batch with `source` 0, on the
+/// calling thread. Files are processed in name order, so seq ordering is
+/// preserved per sender. Missing directory = empty sweep, not an error.
+SpoolDrainStats drain_spool(const std::string& spool_dir, const BatchHandler& handler);
 
 }  // namespace siren::net

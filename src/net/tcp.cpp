@@ -184,7 +184,8 @@ void TcpSender::send(std::string_view datagram) noexcept {
     }
 }
 
-TcpReceiver::TcpReceiver(MessageQueue& queue, std::uint16_t port) : queue_(queue) {
+TcpReceiver::TcpReceiver(BatchHandler handler, std::uint16_t port)
+    : handler_(std::move(handler)) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd_ < 0) throw util::SystemError("socket(): " + std::string(std::strerror(errno)));
 
@@ -241,12 +242,14 @@ void TcpReceiver::accept_loop() {
             break;
         }
         std::lock_guard lock(readers_mutex_);
-        readers_.emplace_back([this, client] { read_loop(client); });
+        readers_.emplace_back(
+            [this, client, connection = readers_.size()] { read_loop(client, connection); });
     }
 }
 
-void TcpReceiver::read_loop(int client_fd) {
+void TcpReceiver::read_loop(int client_fd, std::size_t connection) {
     std::string payload;
+    MessageView view;
     while (!stopping_.load(std::memory_order_relaxed)) {
         // Wait for the header with poll() so stop() can interrupt idle
         // connections, then peek to distinguish orderly shutdown.
@@ -269,15 +272,12 @@ void TcpReceiver::read_loop(int client_fd) {
         payload.resize(len);
         if (!read_all(client_fd, payload.data(), len, stopping_)) break;
         try {
-            Message m = decode(payload);
-            if (queue_.push(std::move(m))) {
-                stats_.delivered.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                stats_.lost.fetch_add(1, std::memory_order_relaxed);
-            }
+            decode_view(payload, view);
         } catch (const util::ParseError&) {
-            stats_.malformed.fetch_add(1, std::memory_order_relaxed);
+            malformed_.fetch_add(1, std::memory_order_relaxed);
+            continue;
         }
+        if (handler_) handler_(connection, std::span<const MessageView>(&view, 1));
     }
     ::close(client_fd);
 }

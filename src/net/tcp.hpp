@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -60,10 +61,11 @@ private:
 };
 
 /// Accepting TCP receiver: one acceptor thread, one reader thread per
-/// connection, decoded messages land in the shared MessageQueue.
+/// connection. Each decoded frame reaches the handler as a one-view batch
+/// on its reader thread, with the connection's accept index as `source`.
 class TcpReceiver {
 public:
-    explicit TcpReceiver(MessageQueue& queue, std::uint16_t port = 0);
+    explicit TcpReceiver(BatchHandler handler, std::uint16_t port = 0);
     ~TcpReceiver();
 
     TcpReceiver(const TcpReceiver&) = delete;
@@ -73,20 +75,21 @@ public:
 
     void stop();
 
-    const ChannelStats& stats() const { return stats_; }
+    /// Frames that were not SIREN datagrams (dropped, never handed on).
+    std::uint64_t malformed() const { return malformed_.load(); }
 
 private:
     void accept_loop();
-    void read_loop(int client_fd);
+    void read_loop(int client_fd, std::size_t connection);
 
-    MessageQueue& queue_;
+    BatchHandler handler_;
     int listen_fd_ = -1;
     std::uint16_t port_ = 0;
     std::atomic<bool> stopping_{false};
+    std::atomic<std::uint64_t> malformed_{0};
     std::thread acceptor_;
     std::vector<std::thread> readers_;
     std::mutex readers_mutex_;
-    ChannelStats stats_;
 };
 
 }  // namespace siren::net

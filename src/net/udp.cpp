@@ -2,17 +2,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
-#include "net/codec.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace siren::net {
 
@@ -49,84 +45,6 @@ void UdpSender::send(std::string_view datagram) noexcept {
         sent_.fetch_add(1, std::memory_order_relaxed);
     } else {
         errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
-UdpReceiver::UdpReceiver(MessageQueue& queue, std::uint16_t port) : queue_(queue) {
-    fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (fd_ < 0) throw util::SystemError("socket(): " + std::string(std::strerror(errno)));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-        ::close(fd_);
-        fd_ = -1;
-        throw util::SystemError("bind(): " + std::string(std::strerror(errno)));
-    }
-
-    socklen_t len = sizeof addr;
-    if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-        ::close(fd_);
-        fd_ = -1;
-        throw util::SystemError("getsockname(): " + std::string(std::strerror(errno)));
-    }
-    port_ = ntohs(addr.sin_port);
-
-    thread_ = std::thread([this] { run(); });
-}
-
-UdpReceiver::~UdpReceiver() { stop(); }
-
-void UdpReceiver::stop() {
-    if (!stopping_.exchange(true)) {
-        if (thread_.joinable()) thread_.join();
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    } else if (thread_.joinable()) {
-        thread_.join();
-    }
-}
-
-void UdpReceiver::run() {
-    std::string buffer;
-    buffer.resize(65536);
-    MessageView view;  // reused across datagrams; decode_view fills it in place
-    while (!stopping_.load(std::memory_order_relaxed)) {
-        // poll() before recv(): SO_RCVTIMEO is not honored on every kernel
-        // (sandboxed runtimes ignore it), and a receiver that cannot observe
-        // the stop flag wedges the process on shutdown.
-        pollfd pfd{fd_, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, 50);
-        if (ready < 0) {
-            if (errno == EINTR) continue;
-            util::log_warn("udp receiver: poll failed: " + std::string(std::strerror(errno)));
-            break;
-        }
-        if (ready == 0) continue;  // timeout: re-check the stop flag
-        const ssize_t n = ::recv(fd_, buffer.data(), buffer.size(), 0);
-        if (n < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-            util::log_warn("udp receiver: recv failed: " + std::string(std::strerror(errno)));
-            break;
-        }
-        try {
-            // Zero-copy validation: parse into the reused view (no heap
-            // allocation, nothing copied), and only materialize an owned
-            // Message for datagrams that actually pass — a malformed flood
-            // costs parsing, never string construction.
-            decode_view(std::string_view(buffer.data(), static_cast<std::size_t>(n)), view);
-            if (queue_.push(view.to_message())) {
-                stats_.delivered.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                stats_.lost.fetch_add(1, std::memory_order_relaxed);
-            }
-        } catch (const util::ParseError&) {
-            stats_.malformed.fetch_add(1, std::memory_order_relaxed);
-        }
     }
 }
 

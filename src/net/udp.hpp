@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "net/channel.hpp"
 
@@ -31,36 +30,6 @@ private:
     int fd_ = -1;
     std::atomic<std::uint64_t> sent_{0};
     std::atomic<std::uint64_t> errors_{0};
-};
-
-/// Real UDP receiver: binds a socket, runs a receive thread that decodes
-/// datagrams into a MessageQueue (the buffered channel of the paper's Go
-/// receiver). Port 0 binds an ephemeral port, see port().
-class UdpReceiver {
-public:
-    UdpReceiver(MessageQueue& queue, std::uint16_t port = 0);
-    ~UdpReceiver();
-
-    UdpReceiver(const UdpReceiver&) = delete;
-    UdpReceiver& operator=(const UdpReceiver&) = delete;
-
-    /// Actual bound port (useful when constructed with port 0).
-    std::uint16_t port() const { return port_; }
-
-    /// Stop the receive loop and join the thread; idempotent.
-    void stop();
-
-    const ChannelStats& stats() const { return stats_; }
-
-private:
-    void run();
-
-    MessageQueue& queue_;
-    int fd_ = -1;
-    std::uint16_t port_ = 0;
-    std::atomic<bool> stopping_{false};
-    std::thread thread_;
-    ChannelStats stats_;
 };
 
 }  // namespace siren::net

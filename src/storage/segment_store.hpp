@@ -12,8 +12,7 @@
 namespace siren::storage {
 
 /// A directory of segment files shared by N writer shards — the durable
-/// landing zone of the ingest daemon (and the WAL of ReceiverService's
-/// durable mode).
+/// landing zone of the ingest daemon (ingest::IngestServer).
 ///
 /// Each shard owns a private SegmentWriter with a shard-tagged filename
 /// prefix (`shard<k>-<seq>.seg`), so concurrent appends never contend on a

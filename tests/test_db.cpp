@@ -1,7 +1,8 @@
-// Embedded store: schema validation, queries, persistence round trip,
-// message table, receiver service draining a queue.
+// Embedded store: schema validation, queries, persistence round trip and
+// its write-failure reporting, message table.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <set>
@@ -10,7 +11,7 @@
 
 #include "db/database.hpp"
 #include "db/message_store.hpp"
-#include "net/channel.hpp"
+#include "net/message.hpp"
 #include "util/error.hpp"
 
 namespace sd = siren::db;
@@ -145,6 +146,30 @@ TEST(Database, SaveLoadRoundTrip) {
     fs::remove_all(dir);
 }
 
+TEST(Database, SaveReportsWriteFailure) {
+    // messages.tsv is a symlink to /dev/full: every write hits ENOSPC, and
+    // save() must say so instead of returning as if the rows were stored.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / ("siren_db_full_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::error_code ec;
+    fs::create_symlink("/dev/full", dir / "messages.tsv", ec);
+    if (ec) GTEST_SKIP() << "cannot symlink /dev/full here: " << ec.message();
+
+    sd::Database db;
+    auto& table = sd::create_message_table(db);
+    sn::Message m;
+    m.exe_hash = "h";
+    m.host = "n";
+    m.content = std::string(100 * 1024, 'x');
+    for (int i = 0; i < 100; ++i) sd::insert_message(table, m);
+
+    EXPECT_THROW(db.save(dir.string()), su::SystemError);
+    fs::remove_all(dir, ec);
+}
+
 TEST(MessageStore, InsertAndReadBack) {
     sd::Database db;
     auto& table = sd::create_message_table(db);
@@ -165,46 +190,4 @@ TEST(MessageStore, InsertAndReadBack) {
     sd::insert_message(table, m);
     ASSERT_EQ(table.row_count(), 1u);
     EXPECT_EQ(sd::message_from_row(table, 0), m);
-}
-
-TEST(ReceiverService, DrainsQueueIntoDatabase) {
-    sd::Database db;
-    sn::MessageQueue queue(1024);
-
-    sn::Message m;
-    m.exe_hash = "h";
-    m.host = "n";
-
-    {
-        sd::ReceiverService service(queue, db, /*workers=*/3);
-        for (int i = 0; i < 500; ++i) {
-            m.pid = i;
-            queue.push(m);
-        }
-        queue.close();
-        service.finish();
-        EXPECT_EQ(service.inserted(), 500u);
-    }
-    EXPECT_EQ(db.table(sd::kMessagesTable).row_count(), 500u);
-}
-
-TEST(ReceiverService, ConcurrentProducers) {
-    sd::Database db;
-    sn::MessageQueue queue(1 << 16);
-    sd::ReceiverService service(queue, db, 2);
-
-    std::vector<std::thread> producers;
-    for (int t = 0; t < 4; ++t) {
-        producers.emplace_back([&queue, t] {
-            sn::Message m;
-            m.exe_hash = "h";
-            m.host = "n";
-            m.pid = t;
-            for (int i = 0; i < 250; ++i) queue.push(m);
-        });
-    }
-    for (auto& p : producers) p.join();
-    queue.close();
-    service.finish();
-    EXPECT_EQ(db.table(sd::kMessagesTable).row_count(), 1000u);
 }

@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,13 @@ sn::Message sample_message(int pid = 7) {
     m.type = sn::MsgType::kIds;
     m.content = "pid=7 exe=/usr/bin/true";
     return m;
+}
+
+/// One sweep, every delivered view kept as an owned Message in `out`.
+sn::SpoolDrainStats drain_into(const std::string& spool_dir, std::vector<sn::Message>& out) {
+    return sn::drain_spool(spool_dir, [&out](std::size_t, std::span<const sn::MessageView> batch) {
+        for (const auto& view : batch) out.push_back(view.to_message());
+    });
 }
 
 class SpoolDir {
@@ -57,17 +65,15 @@ TEST(FileSpool, RoundTripThroughFiles) {
     EXPECT_EQ(sender.sent(), 20u);
     EXPECT_EQ(sender.errors(), 0u);
 
-    sn::MessageQueue queue(64);
-    const auto stats = sn::drain_spool(dir.path(), queue);
+    std::vector<sn::Message> received;
+    const auto stats = drain_into(dir.path(), received);
     EXPECT_EQ(stats.files_seen, 20u);
     EXPECT_EQ(stats.delivered, 20u);
     EXPECT_EQ(stats.malformed, 0u);
-    EXPECT_EQ(queue.size(), 20u);
+    ASSERT_EQ(received.size(), 20u);
 
-    const auto first = queue.pop();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->pid, 0) << "name ordering preserves the send sequence";
-    EXPECT_EQ(first->content, "pid=7 exe=/usr/bin/true");
+    EXPECT_EQ(received.front().pid, 0) << "name ordering preserves the send sequence";
+    EXPECT_EQ(received.front().content, "pid=7 exe=/usr/bin/true");
 }
 
 TEST(FileSpool, DrainConsumesFiles) {
@@ -75,11 +81,11 @@ TEST(FileSpool, DrainConsumesFiles) {
     sn::FileSpoolSender sender(dir.path());
     sender.send(sn::encode(sample_message()));
 
-    sn::MessageQueue queue(8);
-    sn::drain_spool(dir.path(), queue);
-    const auto second = sn::drain_spool(dir.path(), queue);
+    std::vector<sn::Message> received;
+    drain_into(dir.path(), received);
+    const auto second = drain_into(dir.path(), received);
     EXPECT_EQ(second.files_seen, 0u) << "a sweep must delete what it consumed";
-    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_EQ(received.size(), 1u);
 }
 
 TEST(FileSpool, OneFilePerDatagram) {
@@ -123,20 +129,20 @@ TEST(FileSpool, MalformedFilesCountedAndRemoved) {
         bad << "not a SIREN datagram";
     }
 
-    sn::MessageQueue queue(8);
-    const auto stats = sn::drain_spool(dir.path(), queue);
+    std::vector<sn::Message> received;
+    const auto stats = drain_into(dir.path(), received);
     EXPECT_EQ(stats.delivered, 1u);
     EXPECT_EQ(stats.malformed, 1u);
-    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_EQ(received.size(), 1u);
     // Malformed spool files must not survive to poison every later sweep.
     EXPECT_FALSE(fs::exists(fs::path(dir.path()) / "999-1.msg"));
 }
 
 TEST(FileSpool, MissingSpoolIsEmptySweep) {
-    sn::MessageQueue queue(8);
-    const auto stats = sn::drain_spool("/nonexistent/siren/spool", queue);
+    std::vector<sn::Message> received;
+    const auto stats = drain_into("/nonexistent/siren/spool", received);
     EXPECT_EQ(stats.files_seen, 0u);
-    EXPECT_EQ(queue.size(), 0u);
+    EXPECT_EQ(received.size(), 0u);
 }
 
 TEST(FileSpool, TempFilesInvisibleToDrain) {
@@ -146,8 +152,8 @@ TEST(FileSpool, TempFilesInvisibleToDrain) {
         std::ofstream partial(fs::path(dir.path()) / ".5-123.msg");  // mid-write temp
         partial << "half a datagr";
     }
-    sn::MessageQueue queue(8);
-    const auto stats = sn::drain_spool(dir.path(), queue);
+    std::vector<sn::Message> received;
+    const auto stats = drain_into(dir.path(), received);
     EXPECT_EQ(stats.files_seen, 0u) << "dot-temp files are another sender's in-flight write";
 }
 
@@ -164,18 +170,7 @@ TEST(FileSpool, ConcurrentSendersProduceDistinctFiles) {
     EXPECT_EQ(sender.sent(), 200u);
     EXPECT_EQ(sender.errors(), 0u);
 
-    sn::MessageQueue queue(512);
-    const auto stats = sn::drain_spool(dir.path(), queue);
+    std::vector<sn::Message> received;
+    const auto stats = drain_into(dir.path(), received);
     EXPECT_EQ(stats.delivered, 200u) << "atomic seq numbers prevent filename collisions";
-}
-
-TEST(FileSpool, QueueFullCountsDropped) {
-    SpoolDir dir;
-    sn::FileSpoolSender sender(dir.path());
-    for (int i = 0; i < 10; ++i) sender.send(sn::encode(sample_message(i)));
-
-    sn::MessageQueue queue(4);  // deliberately too small
-    const auto stats = sn::drain_spool(dir.path(), queue);
-    EXPECT_EQ(stats.delivered, 4u);
-    EXPECT_EQ(stats.dropped, 6u);
 }

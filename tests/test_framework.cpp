@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/siren.hpp"
+#include "util/rng.hpp"
 
 using siren::CampaignResult;
 using siren::FrameworkOptions;
@@ -91,6 +92,28 @@ TEST(Framework, LossIsDeterministicPerSeed) {
     options.seed = 999;
     const CampaignResult c = run_campaign(sw::mini_campaign(), options);
     EXPECT_NE(a.datagrams_lost, c.datagrams_lost);  // overwhelmingly likely
+}
+
+TEST(Framework, DatabaseModeLossIsDeterministicPerSeed) {
+    auto options = base_options();
+    options.loss_rate = 0.03;
+    options.use_database = true;
+    const CampaignResult a = run_campaign(sw::mini_campaign(), options);
+    const CampaignResult b = run_campaign(sw::mini_campaign(), options);
+    EXPECT_EQ(a.datagrams_lost, b.datagrams_lost);
+    EXPECT_EQ(a.aggregates.records_with_missing_fields,
+              b.aggregates.records_with_missing_fields);
+    EXPECT_EQ(a.aggregates.jobs_with_missing_fields, b.aggregates.jobs_with_missing_fields);
+
+    // Database mode draws once per datagram, in send order, from one
+    // Rng(seed): the lost count is exactly the stream's true draws.
+    siren::util::Rng rng(options.seed);
+    std::uint64_t expected_lost = 0;
+    for (std::uint64_t i = 0; i < a.datagrams_sent; ++i) {
+        if (rng.chance(options.loss_rate)) ++expected_lost;
+    }
+    EXPECT_GT(expected_lost, 0u);
+    EXPECT_EQ(a.datagrams_lost, expected_lost);
 }
 
 TEST(Framework, ThreadCountDoesNotChangeAggregates) {

@@ -177,7 +177,7 @@ TEST(IngestServer, RealUdpLoopbackAcrossReuseportShards) {
     server.quiesce();
 
     // UDP on loopback may legally drop under pressure; expect the vast
-    // majority to land (mirrors the Udp.LoopbackSendReceive tolerance).
+    // majority to land.
     EXPECT_GE(handled.load(), static_cast<std::uint64_t>(kMessages) * 9 / 10);
     EXPECT_EQ(server.stats().malformed, 0u);
     server.stop();
@@ -282,19 +282,36 @@ TEST(IngestServer, BackgroundCompactionRemovesSealedSegments) {
     EXPECT_GT(server.stats().compactions, 0u);
 }
 
-TEST(ReceiverService, DurableModeJournalsAndRecovers) {
+TEST(IngestServer, TableHandlerJournalsAndRecovers) {
+    // The daemon's storage shape: a durable server whose handler inserts
+    // every view into the messages table.
     TempDir dir;
     constexpr int kMessages = 300;
     {
         siren::storage::SegmentStore wal(dir.path(), 2);
         siren::db::Database db;
-        sn::MessageQueue queue(1 << 12);
-        siren::db::ReceiverService service(queue, db, /*workers=*/2, &wal);
-        for (int i = 0; i < kMessages; ++i) queue.push(sample_message(i));
-        queue.close();
-        service.finish();
-        EXPECT_EQ(service.inserted(), kMessages);
-        EXPECT_EQ(service.journaled(), kMessages);
+        siren::db::Table& table = siren::db::create_message_table(db);
+        std::atomic<std::uint64_t> inserted{0};
+        si::IngestOptions options;
+        options.shards = 2;
+        options.store = &wal;
+        si::IngestServer server(options,
+                                [&](std::size_t, std::span<const sn::MessageView> batch) {
+                                    for (const auto& view : batch) {
+                                        siren::db::insert_message(table, view.to_message());
+                                        inserted.fetch_add(1);
+                                    }
+                                });
+        for (int i = 0; i < kMessages; ++i) {
+            const std::string wire = sn::encode(sample_message(i));
+            while (!server.inject(static_cast<std::size_t>(i) % 2, wire)) {
+                std::this_thread::yield();
+            }
+        }
+        server.drain();
+        server.stop();
+        EXPECT_EQ(inserted.load(), kMessages);
+        EXPECT_EQ(server.stats().appended, kMessages);
         EXPECT_EQ(db.table(siren::db::kMessagesTable).row_count(), kMessages);
     }
     // "Crash": the database object is gone; only segments remain. Rebuild.
@@ -317,14 +334,12 @@ TEST(ReceiverService, DurableModeJournalsAndRecovers) {
     EXPECT_TRUE(found);
 }
 
-TEST(Framework, IngestModeCampaignProducesAggregatesAndWal) {
+TEST(Framework, DurableDatabaseModeProducesAggregatesAndWal) {
     TempDir dir;
     siren::FrameworkOptions options;
     options.scale = 1.0;
     options.seed = 11;
     options.use_database = true;
-    options.use_ingest = true;
-    options.ingest_shards = 2;
     options.durable_dir = dir.path();
 
     const siren::CampaignResult result =

@@ -1,11 +1,9 @@
-// Wire protocol: codec round trips, chunk/reassembly, queue semantics,
-// lossy channel determinism, and real UDP loopback.
+// Wire protocol: codec round trips, chunk/reassembly, and the UDP
+// sender's fire-and-forget contract. (The receive end is tested in
+// test_ingest.cpp.)
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
-#include "net/channel.hpp"
 #include "net/chunker.hpp"
 #include "net/codec.hpp"
 #include "net/message.hpp"
@@ -328,111 +326,10 @@ TEST(Chunker, DistinctTypesReassembleIndependently) {
     EXPECT_EQ(reassembler.assemble().size(), 2u);
 }
 
-TEST(Queue, PushPopFifo) {
-    sn::MessageQueue queue(8);
-    sn::Message m = sample_message();
-    m.pid = 1;
-    EXPECT_TRUE(queue.push(m));
-    m.pid = 2;
-    EXPECT_TRUE(queue.push(m));
-    EXPECT_EQ(queue.pop()->pid, 1);
-    EXPECT_EQ(queue.pop()->pid, 2);
-}
-
-TEST(Queue, DropsWhenFull) {
-    sn::MessageQueue queue(2);
-    EXPECT_TRUE(queue.push(sample_message()));
-    EXPECT_TRUE(queue.push(sample_message()));
-    EXPECT_FALSE(queue.push(sample_message()));
-    EXPECT_EQ(queue.dropped(), 1u);
-}
-
-TEST(Queue, CloseDrainsThenEnds) {
-    sn::MessageQueue queue(8);
-    queue.push(sample_message());
-    queue.close();
-    EXPECT_TRUE(queue.pop().has_value());
-    EXPECT_FALSE(queue.pop().has_value());
-    EXPECT_FALSE(queue.push(sample_message()));
-}
-
-TEST(Channel, DeliversWithoutLoss) {
-    sn::MessageQueue queue(1024);
-    sn::InMemoryChannel channel(queue, 0.0, 1);
-    for (int i = 0; i < 100; ++i) channel.send(sn::encode(sample_message()));
-    EXPECT_EQ(channel.stats().delivered.load(), 100u);
-    EXPECT_EQ(channel.stats().lost.load(), 0u);
-    EXPECT_EQ(queue.size(), 100u);
-}
-
-TEST(Channel, LossIsDeterministicPerSeed) {
-    auto run = [](std::uint64_t seed) {
-        sn::MessageQueue queue(1 << 16);
-        sn::InMemoryChannel channel(queue, 0.25, seed);
-        for (int i = 0; i < 2000; ++i) channel.send(sn::encode(sample_message()));
-        return channel.stats().lost.load();
-    };
-    EXPECT_EQ(run(5), run(5));
-    EXPECT_NE(run(5), run(6));
-    const auto lost = run(5);
-    EXPECT_GT(lost, 300u);
-    EXPECT_LT(lost, 700u);
-}
-
-TEST(Channel, CountsMalformedInsteadOfThrowing) {
-    sn::MessageQueue queue(16);
-    sn::InMemoryChannel channel(queue, 0.0, 1);
-    channel.send("complete garbage");
-    EXPECT_EQ(channel.stats().malformed.load(), 1u);
-    EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(Udp, LoopbackSendReceive) {
-    sn::MessageQueue queue(1024);
-    sn::UdpReceiver receiver(queue, 0);  // ephemeral port
-    ASSERT_GT(receiver.port(), 0);
-
-    sn::UdpSender sender("127.0.0.1", receiver.port());
-    const sn::Message m = sample_message();
-    for (int i = 0; i < 50; ++i) sender.send(sn::encode(m));
-
-    // UDP is lossy even on loopback in theory; expect most to arrive.
-    for (int spin = 0; spin < 100 && queue.size() < 50; ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_GE(queue.size(), 45u);
-    auto received = queue.pop();
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(*received, m);
-    receiver.stop();
-}
-
 TEST(Udp, SenderNeverThrowsOnSend) {
     // Sending to a port nobody listens on must not throw (fire and forget).
     sn::UdpSender sender("127.0.0.1", 1);  // almost certainly closed
     EXPECT_NO_THROW(sender.send("SIREN1|whatever"));
-}
-
-TEST(Udp, StopReturnsPromptlyWithNoTraffic) {
-    // Regression: the receiver thread waits with poll(), not SO_RCVTIMEO
-    // (sandboxed kernels ignore the socket option, leaving recv() blocked
-    // forever and stop() wedged on the join).
-    sn::MessageQueue queue(64);
-    sn::UdpReceiver receiver(queue, 0);
-    ASSERT_GT(receiver.port(), 0);
-
-    const auto start = std::chrono::steady_clock::now();
-    receiver.stop();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 2000)
-        << "stop() must return within a few poll slices even with zero traffic";
-}
-
-TEST(Udp, StopIsIdempotent) {
-    sn::MessageQueue queue(64);
-    sn::UdpReceiver receiver(queue, 0);
-    receiver.stop();
-    EXPECT_NO_THROW(receiver.stop());  // destructor will call it again, too
 }
 
 TEST(Message, ProcessKeyDistinguishesExecChains) {

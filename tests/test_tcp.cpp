@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <mutex>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "net/codec.hpp"
 #include "net/tcp.hpp"
@@ -26,17 +29,40 @@ sn::Message sample_message(int pid = 7) {
     return m;
 }
 
-void wait_for(sn::MessageQueue& queue, std::size_t n) {
-    for (int spin = 0; spin < 200 && queue.size() < n; ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+/// Receive-end sink: keeps every delivered view as an owned Message.
+/// Reader threads call the handler concurrently, hence the mutex.
+class Sink {
+public:
+    sn::BatchHandler handler() {
+        return [this](std::size_t, std::span<const sn::MessageView> batch) {
+            std::lock_guard lock(mutex_);
+            for (const auto& view : batch) messages_.push_back(view.to_message());
+        };
     }
-}
+    std::size_t size() const {
+        std::lock_guard lock(mutex_);
+        return messages_.size();
+    }
+    sn::Message front() const {
+        std::lock_guard lock(mutex_);
+        return messages_.front();
+    }
+    void wait_for(std::size_t n) const {
+        for (int spin = 0; spin < 200 && size() < n; ++spin) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+    }
+
+private:
+    mutable std::mutex mutex_;
+    std::vector<sn::Message> messages_;
+};
 
 }  // namespace
 
 TEST(Tcp, LoopbackRoundTrip) {
-    sn::MessageQueue queue(1024);
-    sn::TcpReceiver receiver(queue, 0);
+    Sink sink;
+    sn::TcpReceiver receiver(sink.handler(), 0);
     ASSERT_GT(receiver.port(), 0);
 
     {
@@ -44,20 +70,19 @@ TEST(Tcp, LoopbackRoundTrip) {
         for (int i = 0; i < 100; ++i) sender.send(sn::encode(sample_message(i)));
         EXPECT_EQ(sender.sent(), 100u);
         EXPECT_EQ(sender.errors(), 0u);
-        wait_for(queue, 100);
+        sink.wait_for(100);
     }
     receiver.stop();
 
-    EXPECT_EQ(queue.size(), 100u);
-    const auto first = queue.pop();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->pid, 0);
-    EXPECT_EQ(first->content, "pid=7 exe=/usr/bin/true");
+    ASSERT_EQ(sink.size(), 100u);
+    const sn::Message first = sink.front();
+    EXPECT_EQ(first.pid, 0);
+    EXPECT_EQ(first.content, "pid=7 exe=/usr/bin/true");
 }
 
 TEST(Tcp, MultipleSendersOneReceiver) {
-    sn::MessageQueue queue(4096);
-    sn::TcpReceiver receiver(queue, 0);
+    Sink sink;
+    sn::TcpReceiver receiver(sink.handler(), 0);
 
     std::vector<std::thread> senders;
     for (int t = 0; t < 4; ++t) {
@@ -67,9 +92,9 @@ TEST(Tcp, MultipleSendersOneReceiver) {
         });
     }
     for (auto& s : senders) s.join();
-    wait_for(queue, 200);
+    sink.wait_for(200);
     receiver.stop();
-    EXPECT_EQ(queue.size(), 200u);
+    EXPECT_EQ(sink.size(), 200u);
 }
 
 TEST(Tcp, ConnectionRefusedThrowsAtConstruction) {
@@ -79,11 +104,11 @@ TEST(Tcp, ConnectionRefusedThrowsAtConstruction) {
 }
 
 TEST(Tcp, SenderSurvivesReceiverDeath) {
-    sn::MessageQueue queue(64);
-    auto receiver = std::make_unique<sn::TcpReceiver>(queue, 0);
+    Sink sink;
+    auto receiver = std::make_unique<sn::TcpReceiver>(sink.handler(), 0);
     sn::TcpSender sender("127.0.0.1", receiver->port());
     sender.send(sn::encode(sample_message()));
-    wait_for(queue, 1);
+    sink.wait_for(1);
 
     receiver.reset();  // receiver goes away mid-session
 
@@ -98,8 +123,8 @@ TEST(Tcp, StopReturnsPromptlyWithIdleConnection) {
     // kernels ignore it and recv()/accept() then block forever). A
     // connected-but-silent client is the worst case: the reader thread is
     // parked waiting for a frame header when stop() is called.
-    sn::MessageQueue queue(64);
-    auto receiver = std::make_unique<sn::TcpReceiver>(queue, 0);
+    Sink sink;
+    auto receiver = std::make_unique<sn::TcpReceiver>(sink.handler(), 0);
     sn::TcpSender idle("127.0.0.1", receiver->port());
     std::this_thread::sleep_for(std::chrono::milliseconds(100));  // let accept land
 
@@ -113,15 +138,15 @@ TEST(Tcp, StopReturnsPromptlyWithIdleConnection) {
 TEST(Tcp, StopInterruptsAStalledFrame) {
     // A peer that sends a frame header and then goes silent parks the
     // reader mid-read_all; stop() must still come back.
-    sn::MessageQueue queue(64);
-    sn::TcpReceiver receiver(queue, 0);
+    Sink sink;
+    sn::TcpReceiver receiver(sink.handler(), 0);
     sn::TcpSender sender("127.0.0.1", receiver.port());
     // Hand-craft a partial frame: length prefix promising 100 bytes, none sent.
     // TcpSender::send always writes whole frames, so talk to the socket
     // through a second sender's framing by sending a truncated datagram via
     // raw length abuse: encode a full message, then a bare header.
     sender.send(sn::encode(sample_message()));
-    wait_for(queue, 1);
+    sink.wait_for(1);
     // A second connection supplies only 2 of the 4 header bytes by closing
     // early — emulated here by destroying the sender right after connect;
     // the reader sees EOF and must exit, and stop() must join it.
@@ -132,19 +157,19 @@ TEST(Tcp, StopInterruptsAStalledFrame) {
     receiver.stop();
     const auto elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 2000);
-    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_EQ(sink.size(), 1u);
 }
 
 TEST(Tcp, MalformedPayloadCounted) {
-    sn::MessageQueue queue(64);
-    sn::TcpReceiver receiver(queue, 0);
+    Sink sink;
+    sn::TcpReceiver receiver(sink.handler(), 0);
     {
         sn::TcpSender sender("127.0.0.1", receiver.port());
         sender.send("this is not a SIREN message");
         sender.send(sn::encode(sample_message()));
-        wait_for(queue, 1);
+        sink.wait_for(1);
     }
     receiver.stop();
-    EXPECT_EQ(queue.size(), 1u);
-    EXPECT_EQ(receiver.stats().malformed.load(), 1u);
+    EXPECT_EQ(sink.size(), 1u);
+    EXPECT_EQ(receiver.malformed(), 1u);
 }

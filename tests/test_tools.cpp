@@ -1,5 +1,6 @@
 // End-to-end tests of the operator CLIs (siren_hash, siren_registry,
-// siren_query, siren_recognized, siren_shard, bench_to_json.py):
+// siren_query, siren_recognized, siren_shard, siren_ingestd,
+// bench_to_json.py):
 // real fork/exec of the built binaries, exit codes and stdout contracts.
 
 #include <gtest/gtest.h>
@@ -12,6 +13,9 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "net/codec.hpp"
+#include "net/udp.hpp"
 
 #ifndef SIREN_HASH_PATH
 #define SIREN_HASH_PATH "siren_hash"
@@ -30,7 +34,8 @@ struct RunResult {
 };
 
 /// Run a binary with args, capture stdout; returns exit code -1 on spawn
-/// failure (callers GTEST_SKIP on that, for locked-down environments).
+/// failure (callers GTEST_SKIP on that, for locked-down environments) and
+/// 128 + signal, as a shell reports it, when the binary was killed.
 RunResult run(const std::string& binary, const std::vector<std::string>& args) {
     std::string command = binary;
     for (const auto& a : args) command += " '" + a + "'";
@@ -46,6 +51,7 @@ RunResult run(const std::string& binary, const std::vector<std::string>& args) {
     }
     const int status = ::pclose(pipe);
     if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
+    if (WIFSIGNALED(status)) result.exit_code = 128 + WTERMSIG(status);
     return result;
 }
 
@@ -240,6 +246,63 @@ TEST(ToolsShard, MoveRejectsOwnerWiderThan32Bits) {
     std::error_code ec;
     fs::remove(map, ec);
     fs::remove(out, ec);
+}
+
+#ifndef SIREN_INGESTD_PATH
+#define SIREN_INGESTD_PATH "siren_ingestd"
+#endif
+
+TEST(ToolsIngestd, EphemeralPortBannerArrivesBeforeExit) {
+    // A script that binds port 0 reads the port off the banner while the
+    // daemon runs, so the banner must not wait in stdout's buffer for exit.
+    const fs::path dir =
+        fs::temp_directory_path() / ("siren_tools_ingestd_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const std::string command = std::string(SIREN_INGESTD_PATH) + " 0 '" + dir.string() +
+                                "' --memory --seconds 2 2>/dev/null";
+    FILE* pipe = ::popen(command.c_str(), "r");
+    if (pipe == nullptr) GTEST_SKIP() << "cannot spawn processes here";
+
+    std::array<char, 512> line{};
+    const std::string banner = ::fgets(line.data(), line.size(), pipe) ? line.data() : "";
+    const std::string endpoint = "udp://127.0.0.1:";
+    const auto at = banner.find(endpoint);
+    if (at != std::string::npos) {
+        siren::net::Message m;
+        m.job_id = 77;
+        m.exe_hash = "beef";
+        m.host = "nid000001";
+        m.type = siren::net::MsgType::kIds;
+        m.content = "pid=1 exe=/usr/bin/true";
+        siren::net::UdpSender sender(
+            "127.0.0.1", static_cast<std::uint16_t>(std::stoi(banner.substr(at + endpoint.size()))));
+        sender.send(siren::net::encode(m));
+    }
+    // Read to EOF before pclose: closing early would SIGPIPE the daemon's
+    // shutdown report.
+    while (::fgets(line.data(), line.size(), pipe) != nullptr) {
+    }
+    const int status = ::pclose(pipe);
+
+    ASSERT_NE(at, std::string::npos) << "banner: " << banner;
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    std::ifstream in(dir / "messages.tsv");
+    std::size_t lines = 0;
+    for (std::string row; std::getline(in, row);) ++lines;
+    EXPECT_EQ(lines, 2u) << "the header plus the one datagram sent after the banner";
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+}
+
+TEST(ToolsIngestd, UnusableDataDirExitsTwo) {
+    // /dev/null/x can never be a directory. Both modes must report that and
+    // exit 2, not abort on an uncaught filesystem error.
+    auto r = run(SIREN_INGESTD_PATH, {"0", "/dev/null/x", "--memory", "--seconds", "1"});
+    if (r.exit_code == -1) GTEST_SKIP() << "cannot spawn processes here";
+    EXPECT_EQ(r.exit_code, 2);
+    r = run(SIREN_INGESTD_PATH, {"0", "/dev/null/x", "--replay"});
+    EXPECT_EQ(r.exit_code, 2);
 }
 
 #ifndef SIREN_BENCH_TO_JSON_PATH

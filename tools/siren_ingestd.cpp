@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <thread>
@@ -93,28 +94,29 @@ int main(int argc, char** argv) {
     }
     if (shards <= 0) return usage();
 
-    if (replay) {
-        siren::db::Database db;
-        const auto result = siren::db::replay_segments(segments_dir, db);
-        db.save(data_dir);
-        std::printf("siren_ingestd: replayed %llu records from %llu segments into %s\n",
-                    static_cast<unsigned long long>(result.inserted),
-                    static_cast<unsigned long long>(result.storage.segments), data_dir.c_str());
-        if (result.storage.torn_tails > 0 || result.storage.crc_failures > 0) {
-            std::printf("siren_ingestd: tolerated %llu torn tail(s), %llu checksum failure(s)\n",
-                        static_cast<unsigned long long>(result.storage.torn_tails),
-                        static_cast<unsigned long long>(result.storage.crc_failures));
-        }
-        return 0;
-    }
-
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-
     siren::db::Database db;
-    siren::db::Table& table = siren::db::create_message_table(db);
-
     try {
+        // An unusable DATA_DIR fails here, before any traffic is accepted.
+        std::filesystem::create_directories(data_dir);
+
+        if (replay) {
+            const auto result = siren::db::replay_segments(segments_dir, db);
+            db.save(data_dir);
+            std::printf("siren_ingestd: replayed %llu records from %llu segments into %s\n",
+                        static_cast<unsigned long long>(result.inserted),
+                        static_cast<unsigned long long>(result.storage.segments),
+                        data_dir.c_str());
+            if (result.storage.torn_tails > 0 || result.storage.crc_failures > 0) {
+                std::printf("siren_ingestd: tolerated %llu torn tail(s), %llu checksum failure(s)\n",
+                            static_cast<unsigned long long>(result.storage.torn_tails),
+                            static_cast<unsigned long long>(result.storage.crc_failures));
+            }
+            return 0;
+        }
+
+        std::signal(SIGINT, handle_signal);
+        std::signal(SIGTERM, handle_signal);
+        siren::db::Table& table = siren::db::create_message_table(db);
         std::unique_ptr<siren::storage::SegmentStore> store;
         if (durable) {
             store = std::make_unique<siren::storage::SegmentStore>(
@@ -143,6 +145,9 @@ int main(int argc, char** argv) {
         std::printf("siren_ingestd: %zu shard(s) on udp://%s:%u, %s\n", server.shards(),
                     bind_address.c_str(), server.port(),
                     durable ? ("journaling to " + segments_dir).c_str() : "in-memory (no WAL)");
+        // Scripts that bind port 0 read the port from this line while the
+        // daemon runs, so it must not wait in a pipe's buffer until exit.
+        std::fflush(stdout);
 
         const auto start = std::chrono::steady_clock::now();
         while (!g_stop.load()) {
@@ -164,12 +169,12 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(stats.ring_dropped),
                     static_cast<unsigned long long>(stats.appended),
                     static_cast<unsigned long long>(stats.storage_errors));
+        db.save(data_dir);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "siren_ingestd: %s\n", e.what());
         return 2;
     }
 
-    db.save(data_dir);
     std::printf("siren_ingestd: database written to %s\n", data_dir.c_str());
     return 0;
 }
