@@ -5,30 +5,11 @@
 
 #include "fuzzy/ctph.hpp"
 #include "serve/recognition_service.hpp"
-#include "util/endian.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/strings.hpp"
 
 namespace siren::serve {
-
-void append_frame(std::string& out, std::string_view payload) {
-    util::append_u32le(out, static_cast<std::uint32_t>(payload.size()));
-    out.append(payload);
-}
-
-std::optional<std::string_view> parse_frame(std::string_view buffer, std::size_t& consumed) {
-    consumed = 0;
-    if (buffer.size() < 4) return std::nullopt;
-    const std::uint32_t length = util::get_u32le(buffer.data());
-    if (length > kMaxQueryFrameBytes) {
-        throw util::ParseError("query frame of " + std::to_string(length) +
-                               " bytes exceeds the limit");
-    }
-    if (buffer.size() < 4u + length) return std::nullopt;
-    consumed = 4u + length;
-    return buffer.substr(4, length);
-}
 
 namespace {
 

@@ -7,15 +7,16 @@
 #include <utility>
 #include <vector>
 
+#include "net/tcp.hpp"
 #include "serve/recognition_service.hpp"
 
 namespace siren::serve {
 
 /// Length-framed query protocol shared by QueryServer and QueryClient.
 ///
-/// Transport framing (identical to net::TcpSender's): a 4-byte
-/// little-endian payload length, then the payload. Payloads are single
-/// text requests/responses:
+/// Transport framing is net::append_frame / net::parse_frame (a 4-byte
+/// little-endian payload length, then the payload), re-exported below.
+/// Payloads are single text requests/responses:
 ///
 ///   request  := "IDENTIFY" ["C" digest] ["B" digest] [k] | "IDENTIFYB" digest+
 ///             | "OBSERVE" digest [hint] | "OBSERVETS" digest [hint]
@@ -35,7 +36,10 @@ namespace siren::serve {
 /// order, even for n = 1, so clients detect truncated replies uniformly.
 ///
 /// Full grammar and examples in docs/recognition_service.md.
-inline constexpr std::uint32_t kMaxQueryFrameBytes = 1u << 20;
+inline constexpr std::uint32_t kMaxQueryFrameBytes = net::kMaxFrameBytes;
+
+using net::append_frame;
+using net::parse_frame;
 
 /// The marker a read-only follower embeds in its OBSERVE rejection.
 /// ReplicaClient matches on it to fail over to the leader, so it is part
@@ -78,16 +82,6 @@ struct StatsSnapshot {
 /// rule. Throws util::ParseError when `text` is not a STATS reply at all
 /// (no leading OK).
 StatsSnapshot parse_stats(std::string_view text);
-
-/// Append one framed payload to `out`.
-void append_frame(std::string& out, std::string_view payload);
-
-/// When `buffer` starts with a complete frame, return its payload view
-/// (aliasing `buffer`) and set `consumed` to the frame's total size;
-/// otherwise nullopt (`consumed` = 0). Throws util::ParseError when the
-/// length field exceeds kMaxQueryFrameBytes — the stream is garbage and
-/// the connection should be dropped.
-std::optional<std::string_view> parse_frame(std::string_view buffer, std::size_t& consumed);
 
 /// Execute one request payload against the service and return the response
 /// payload. Never throws: malformed requests yield "ERR ..." responses.

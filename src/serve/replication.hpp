@@ -5,10 +5,13 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#include "net/tcp.hpp"
 
 namespace siren::serve {
 
@@ -23,8 +26,8 @@ namespace siren::serve {
 /// CRCs written by the leader's SegmentWriter travel with the bytes and
 /// are verified by the follower's tail exactly as they would be locally.
 ///
-/// Transport framing is the query protocol's (4-byte little-endian length
-/// + payload, serve/query_protocol.hpp). Payloads:
+/// Transport framing is net::append_frame/parse_frame (4-byte little-endian
+/// length + payload, at most net::kMaxFrameBytes). Payloads:
 ///
 ///   follower -> leader:  "SUBSCRIBE\n" ("have " name ' ' size "\n")*
 ///   leader -> follower:  "DATA " name ' ' offset ' ' crc32c "\n" bytes
@@ -49,58 +52,47 @@ struct ReplicationSourceOptions {
     std::chrono::milliseconds poll{50};
     /// Bytes per DATA chunk (one frame).
     std::size_t chunk_bytes = 256u << 10;
-    /// Per-connection cap on buffered-but-unsent reply bytes; shipping
-    /// pauses past it until the follower drains (backpressure), so one
-    /// slow follower cannot balloon the leader's memory.
-    std::size_t max_buffered_bytes = 4u << 20;
-    /// Connections beyond this are closed at accept (counted).
-    std::size_t max_followers = 64;
 };
 
 /// Aggregated ReplicationSource counters.
 struct ReplicationSourceStats {
     std::uint64_t connections = 0;      ///< accepted
-    std::uint64_t rejected = 0;         ///< closed at accept: follower limit
+    std::uint64_t rejected = 0;         ///< closed at accept: 64 followers connected
     std::uint64_t subscriptions = 0;    ///< SUBSCRIBE frames handled
     std::uint64_t chunks_sent = 0;      ///< DATA frames queued
     std::uint64_t bytes_shipped = 0;    ///< segment payload bytes queued
     std::uint64_t protocol_errors = 0;  ///< garbage frames (connection dropped)
+    std::uint64_t accept_stalls = 0;    ///< listener disarmed: fd exhaustion (EMFILE/ENFILE)
 };
 
-/// Leader-side replication server: one epoll event-loop thread multiplexing
-/// the listener and every follower connection (the QueryServer scheme).
-/// Each wake-up it flushes parked writes, reads SUBSCRIBE frames, and for
-/// every subscribed follower with buffer room ships the byte ranges its
-/// watermark is missing, in the canonical (stream prefix, numeric
-/// sequence) segment order — sealed and live files alike, via
-/// storage::read_segment_range.
+/// Leader-side replication server on the shared framed-TCP loop
+/// (net::TcpServer). Its frame hook reads SUBSCRIBE frames; its wake hook,
+/// on every loop wake-up and at least every `poll`, ships every subscribed
+/// follower with buffer room the byte ranges its watermark is missing, in
+/// the canonical (stream prefix, numeric sequence) segment order — sealed
+/// and live files alike, via storage::read_segment_range. At most 4 MiB
+/// per follower wait unsent: a slow follower stalls its own stream, not
+/// the leader's memory.
 class ReplicationSource {
 public:
     /// Binds and starts the loop thread; throws util::SystemError when the
     /// socket cannot be created/bound.
     explicit ReplicationSource(ReplicationSourceOptions options);
-    ~ReplicationSource();
 
     ReplicationSource(const ReplicationSource&) = delete;
     ReplicationSource& operator=(const ReplicationSource&) = delete;
 
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return server_.port(); }
 
     /// Close the listener and every connection, join the loop; idempotent.
-    void stop();
+    void stop() { server_.stop(); }
 
     ReplicationSourceStats stats() const;
 
 private:
-    struct Follower {
-        std::string in;   ///< bytes read, not yet framed
-        std::string out;  ///< frames pending write
-        std::size_t out_pos = 0;
-        bool want_write = false;
-        bool subscribed = false;
-        /// name -> next byte to ship (from the follower's watermark).
-        std::map<std::string, std::uint64_t> offsets;
-    };
+    /// A subscribed follower's state: name -> next byte to ship (from its
+    /// watermark).
+    using Offsets = std::map<std::string, std::uint64_t>;
 
     /// One segment file's current state, snapshotted once per wake-up and
     /// shared across every follower's pump.
@@ -110,32 +102,20 @@ private:
         std::uint64_t size = 0;
     };
 
-    void event_loop();
-    void handle_readable(int fd, Follower& conn);
-    /// Parse buffered SUBSCRIBE frames; false when the connection died.
-    bool process_frames(int fd, Follower& conn);
-    bool flush_writes(int fd, Follower& conn);
+    /// Frame hook: parse a SUBSCRIBE; false on anything else.
+    bool subscribe(net::TcpServer::Connection& conn, std::string_view payload);
+    /// Wake hook: pump every subscribed follower.
+    void ship(std::span<net::TcpServer::Connection* const> connections);
     /// Queue missing byte ranges for one follower, up to the buffer cap.
-    void pump(Follower& conn, const std::vector<SegmentState>& segments);
-    void close_connection(int fd);
+    void pump(net::TcpServer::Connection& conn, Offsets& offsets,
+              const std::vector<SegmentState>& segments);
 
     ReplicationSourceOptions options_;
-    std::uint16_t port_ = 0;
-    int listen_fd_ = -1;
-    int epoll_fd_ = -1;
-    int event_fd_ = -1;  ///< stop signal
-    std::map<int, Follower> followers_;
     std::string chunk_;  ///< reused read buffer
-    std::thread loop_;
-    std::atomic<bool> stopping_{false};
-    std::atomic<bool> stopped_{false};
-
-    std::atomic<std::uint64_t> connections_{0};
-    std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> subscriptions_{0};
     std::atomic<std::uint64_t> chunks_sent_{0};
     std::atomic<std::uint64_t> bytes_shipped_{0};
-    std::atomic<std::uint64_t> protocol_errors_{0};
+    net::TcpServer server_;  ///< last: its thread uses the members above
 };
 
 /// ReplicationSink counters (atomics: the follower thread writes while
@@ -248,10 +228,6 @@ private:
     std::string last_error_;
     std::thread thread_;
 };
-
-/// Replication frame limit: a chunk plus its header line must fit the
-/// shared length framing. Sources cap chunk_bytes against this.
-inline constexpr std::uint32_t kMaxReplicationFrameBytes = 1u << 20;
 
 /// Validate a segment basename received over the wire before using it as a
 /// path component: must be a plain `*.seg` basename, no separators, no

@@ -49,7 +49,7 @@ std::string ReplicationSink::subscribe_payload() const {
     // again from byte 0 and the duplicate-chunk path below skips what is
     // already on disk, so the failure mode is wasted bandwidth on one
     // reconnect, never a wedged subscription.
-    constexpr std::size_t kPayloadCap = kMaxReplicationFrameBytes - 512;
+    constexpr std::size_t kPayloadCap = net::kMaxFrameBytes - 512;
     std::string out = "SUBSCRIBE\n";
     for (const auto& path : storage::list_segments(directory_)) {
         const std::string name = fs::path(path).filename().string();

@@ -1,23 +1,10 @@
 #include "serve/replication.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
+#include <any>
 #include <filesystem>
-#include <optional>
-#include <vector>
 
 #include "hashing/crc32c.hpp"
-#include "serve/query_protocol.hpp"
 #include "storage/segment.hpp"
 #include "util/endian.hpp"
 #include "util/error.hpp"
@@ -41,210 +28,103 @@ bool valid_segment_name(std::string_view name) {
 
 namespace {
 
-bool set_nonblocking(int fd) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+/// Connections beyond this are closed at accept (counted).
+constexpr std::size_t kMaxFollowers = 64;
+
+/// Per-follower cap on buffered-but-unsent bytes: shipping pauses past it
+/// until the follower drains (backpressure), so one slow follower cannot
+/// balloon the leader's memory.
+constexpr std::size_t kMaxBufferedBytes = 4u << 20;
+
+ReplicationSourceOptions checked(ReplicationSourceOptions options) {
+    if (options.segments_dir.empty()) {
+        throw util::Error("replication source needs a segment directory");
+    }
+    // A chunk plus its header line must fit one protocol frame.
+    options.chunk_bytes =
+        std::clamp<std::size_t>(options.chunk_bytes, 1, net::kMaxFrameBytes - 512);
+    return options;
 }
 
 }  // namespace
 
 ReplicationSource::ReplicationSource(ReplicationSourceOptions options)
-    : options_(std::move(options)) {
-    if (options_.segments_dir.empty()) {
-        throw util::Error("replication source needs a segment directory");
-    }
-    // A chunk plus its header line must fit one protocol frame.
-    options_.chunk_bytes = std::min<std::size_t>(
-        std::max<std::size_t>(options_.chunk_bytes, 1), kMaxReplicationFrameBytes - 512);
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-        throw util::SystemError("socket(): " + std::string(std::strerror(errno)));
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options_.port);
-    if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) != 1) {
-        ::close(listen_fd_);
-        throw util::SystemError("inet_pton(" + options_.bind_address + ") failed");
-    }
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(listen_fd_, 16) != 0 || !set_nonblocking(listen_fd_)) {
-        const std::string reason = std::strerror(errno);
-        ::close(listen_fd_);
-        throw util::SystemError("bind/listen(" + options_.bind_address + "): " + reason);
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    port_ = ntohs(addr.sin_port);
-
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (epoll_fd_ < 0 || event_fd_ < 0) {
-        const std::string reason = std::strerror(errno);
-        ::close(listen_fd_);
-        if (epoll_fd_ >= 0) ::close(epoll_fd_);
-        if (event_fd_ >= 0) ::close(event_fd_);
-        throw util::SystemError("epoll/eventfd: " + reason);
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-    ev.data.fd = event_fd_;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
-
-    loop_ = std::thread([this] { event_loop(); });
-}
-
-ReplicationSource::~ReplicationSource() { stop(); }
-
-void ReplicationSource::stop() {
-    if (stopped_.exchange(true)) {
-        if (loop_.joinable()) loop_.join();
-        return;
-    }
-    stopping_.store(true, std::memory_order_release);
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(event_fd_, &one, sizeof one);
-    if (loop_.joinable()) loop_.join();
-    for (auto& [fd, conn] : followers_) ::close(fd);
-    followers_.clear();
-    ::close(listen_fd_);
-    ::close(epoll_fd_);
-    ::close(event_fd_);
-    listen_fd_ = epoll_fd_ = event_fd_ = -1;
-}
+    : options_(checked(std::move(options))),
+      server_(
+          options_.bind_address, options_.port, kMaxFollowers,
+          [this](net::TcpServer::Connection& conn, std::string_view payload) {
+              return subscribe(conn, payload);
+          },
+          [this](std::span<net::TcpServer::Connection* const> connections) { ship(connections); },
+          options_.poll) {}
 
 ReplicationSourceStats ReplicationSource::stats() const {
+    const net::TcpServerStats loop = server_.stats();
     ReplicationSourceStats s;
-    s.connections = connections_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
+    s.connections = loop.connections;
+    s.rejected = loop.rejected;
     s.subscriptions = subscriptions_.load(std::memory_order_relaxed);
     s.chunks_sent = chunks_sent_.load(std::memory_order_relaxed);
     s.bytes_shipped = bytes_shipped_.load(std::memory_order_relaxed);
-    s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
+    s.protocol_errors = loop.protocol_errors;
+    s.accept_stalls = loop.accept_stalls;
     return s;
 }
 
-void ReplicationSource::close_connection(int fd) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    followers_.erase(fd);
-}
-
-bool ReplicationSource::flush_writes(int fd, Follower& conn) {
-    while (conn.out_pos < conn.out.size()) {
-        const ssize_t n = ::send(fd, conn.out.data() + conn.out_pos,
-                                 conn.out.size() - conn.out_pos, MSG_NOSIGNAL);
-        if (n > 0) {
-            conn.out_pos += static_cast<std::size_t>(n);
-            continue;
+bool ReplicationSource::subscribe(net::TcpServer::Connection& conn, std::string_view payload) {
+    // The only frame a follower sends: SUBSCRIBE with its watermark.
+    // A resubscribe on a live connection simply resets the offsets.
+    std::vector<std::string_view> lines;
+    util::split_view_into(payload, '\n', lines);
+    if (lines.empty() || util::trim(lines[0]) != "SUBSCRIBE") return false;
+    Offsets offsets;
+    std::vector<std::string_view> words;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        if (lines[i].empty()) continue;
+        words.clear();
+        util::split_view_into(lines[i], ' ', words);
+        long size = 0;
+        if (words.size() != 3 || words[0] != "have" || !valid_segment_name(words[1]) ||
+            !util::parse_decimal(words[2], size) || size < 0) {
+            return false;
         }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            // Socket buffer full: park the rest on EPOLLOUT. The pump also
-            // checks buffered size, so a slow follower stalls its own
-            // stream instead of growing the leader's memory.
-            if (!conn.want_write) {
-                epoll_event ev{};
-                ev.events = EPOLLIN | EPOLLOUT;
-                ev.data.fd = fd;
-                ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-                conn.want_write = true;
-            }
-            return true;
-        }
-        return false;  // follower went away
+        offsets[std::string(words[1])] = static_cast<std::uint64_t>(size);
     }
-    conn.out.clear();
-    conn.out_pos = 0;
-    if (conn.want_write) {
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = fd;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-        conn.want_write = false;
-    }
+    conn.state = std::move(offsets);
+    subscriptions_.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 
-bool ReplicationSource::process_frames(int fd, Follower& conn) {
-    std::size_t consumed = 0;
-    for (;;) {
-        std::size_t frame = 0;
-        std::optional<std::string_view> payload;
-        try {
-            payload = parse_frame(std::string_view(conn.in).substr(consumed), frame);
-        } catch (const util::ParseError&) {
-            protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-            close_connection(fd);
-            return false;
-        }
-        if (!payload) break;
-        consumed += frame;
-
-        // The only frame a follower sends: SUBSCRIBE with its watermark.
-        // A resubscribe on a live connection simply resets the offsets.
-        std::vector<std::string_view> lines;
-        util::split_view_into(*payload, '\n', lines);
-        std::vector<std::string_view> words;
-        bool ok = !lines.empty() && util::trim(lines[0]) == "SUBSCRIBE";
-        std::map<std::string, std::uint64_t> offsets;
-        for (std::size_t i = 1; ok && i < lines.size(); ++i) {
-            if (lines[i].empty()) continue;
-            words.clear();
-            util::split_view_into(lines[i], ' ', words);
-            long size = 0;
-            if (words.size() != 3 || words[0] != "have" || !valid_segment_name(words[1]) ||
-                !util::parse_decimal(words[2], size) || size < 0) {
-                ok = false;
-                break;
+void ReplicationSource::ship(std::span<net::TcpServer::Connection* const> connections) {
+    // The directory listing and size snapshot are taken once per wake-up
+    // and shared — N followers must not mean N directory scans.
+    std::vector<SegmentState> segments;
+    bool listed = false;
+    for (net::TcpServer::Connection* conn : connections) {
+        auto* offsets = std::any_cast<Offsets>(&conn->state);
+        if (offsets == nullptr) continue;  // not subscribed yet
+        if (!listed) {
+            listed = true;
+            for (const auto& path : storage::list_segments(options_.segments_dir)) {
+                SegmentState state;
+                state.name = fs::path(path).filename().string();
+                if (!valid_segment_name(state.name)) continue;  // foreign file
+                std::error_code ec;
+                state.size = fs::file_size(path, ec);
+                if (ec) continue;  // vanished between listing and stat
+                state.path = path;
+                segments.push_back(std::move(state));
             }
-            offsets[std::string(words[1])] = static_cast<std::uint64_t>(size);
         }
-        if (!ok) {
-            protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-            close_connection(fd);
-            return false;
-        }
-        conn.offsets = std::move(offsets);
-        conn.subscribed = true;
-        subscriptions_.fetch_add(1, std::memory_order_relaxed);
+        pump(*conn, *offsets, segments);
     }
-    if (consumed > 0) conn.in.erase(0, consumed);
-    return true;
 }
 
-void ReplicationSource::handle_readable(int fd, Follower& conn) {
-    char buf[4096];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n > 0) {
-            conn.in.append(buf, static_cast<std::size_t>(n));
-            if (conn.in.size() > kMaxReplicationFrameBytes + 4) {
-                // A follower has no business sending this much; drop it.
-                protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-                close_connection(fd);
-                return;
-            }
-            continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        close_connection(fd);  // orderly shutdown or error
-        return;
-    }
-    process_frames(fd, conn);
-}
-
-void ReplicationSource::pump(Follower& conn, const std::vector<SegmentState>& segments) {
+void ReplicationSource::pump(net::TcpServer::Connection& conn, Offsets& offsets,
+                             const std::vector<SegmentState>& segments) {
     for (const auto& segment : segments) {
-        if (conn.out.size() - conn.out_pos >= options_.max_buffered_bytes) return;
-        std::uint64_t& offset = conn.offsets[segment.name];
+        if (conn.unsent() >= kMaxBufferedBytes) return;
+        std::uint64_t& offset = offsets[segment.name];
         // The cheap common case: this follower already has every byte the
         // wake-up's size snapshot saw — no open(), no read.
         if (offset >= segment.size) continue;
@@ -254,7 +134,7 @@ void ReplicationSource::pump(Follower& conn, const std::vector<SegmentState>& se
         // and segment files are append-only, so every byte below the
         // current size is final.
         for (;;) {
-            if (conn.out.size() - conn.out_pos >= options_.max_buffered_bytes) return;
+            if (conn.unsent() >= kMaxBufferedBytes) return;
             // Injected chunk stall: a delay(…) spec sleeps inside eval (the
             // shipping cadence hiccups), an error(…) spec skips this
             // wake-up's pump entirely — the follower's watermark protocol
@@ -284,108 +164,6 @@ void ReplicationSource::pump(Follower& conn, const std::vector<SegmentState>& se
             chunks_sent_.fetch_add(1, std::memory_order_relaxed);
             bytes_shipped_.fetch_add(got, std::memory_order_relaxed);
         }
-    }
-}
-
-void ReplicationSource::event_loop() {
-    std::vector<epoll_event> events(32);
-    const int wait_ms =
-        static_cast<int>(std::max<long>(1, static_cast<long>(options_.poll.count())));
-    while (!stopping_.load(std::memory_order_acquire)) {
-        const int n =
-            ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()), wait_ms);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            break;
-        }
-        // Clients first, accepts last (see QueryServer::event_loop): a fd
-        // closed in this batch must not be reused by an accept mid-batch.
-        bool accept_ready = false;
-        for (int i = 0; i < n && !stopping_.load(std::memory_order_acquire); ++i) {
-            const int fd = events[i].data.fd;
-            if (fd == event_fd_) continue;  // stop signal: loop condition exits
-            if (fd == listen_fd_) {
-                accept_ready = true;
-                continue;
-            }
-            const auto it = followers_.find(fd);
-            if (it == followers_.end()) continue;  // closed earlier this wake-up
-            if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-                close_connection(fd);
-                continue;
-            }
-            if ((events[i].events & EPOLLOUT) != 0 && !flush_writes(fd, it->second)) {
-                close_connection(fd);
-                continue;
-            }
-            if ((events[i].events & EPOLLIN) != 0) handle_readable(fd, it->second);
-        }
-
-        if (accept_ready && !stopping_.load(std::memory_order_acquire)) {
-            for (;;) {
-                const int client = ::accept4(listen_fd_, nullptr, nullptr,
-                                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-                if (client < 0) break;  // EAGAIN or transient error
-                if (followers_.size() >= options_.max_followers) {
-                    rejected_.fetch_add(1, std::memory_order_relaxed);
-                    ::close(client);
-                    continue;
-                }
-                const int one = 1;
-                ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-                // Keepalive: a caught-up follower is silent for long
-                // stretches, so a power-cut/partitioned peer produces no
-                // FIN and no write to surface the death — without probes
-                // its slot (and offsets map) would be held until every
-                // max_followers slot was leaked.
-                ::setsockopt(client, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof one);
-                const int idle = 60;
-                const int interval = 15;
-                const int probes = 4;
-                ::setsockopt(client, IPPROTO_TCP, TCP_KEEPIDLE, &idle, sizeof idle);
-                ::setsockopt(client, IPPROTO_TCP, TCP_KEEPINTVL, &interval, sizeof interval);
-                ::setsockopt(client, IPPROTO_TCP, TCP_KEEPCNT, &probes, sizeof probes);
-                epoll_event ev{};
-                ev.events = EPOLLIN;
-                ev.data.fd = client;
-                ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, client, &ev);
-                followers_.emplace(client, Follower{});
-                connections_.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-
-        if (stopping_.load(std::memory_order_acquire)) break;
-
-        // Ship: every subscribed follower with buffer room gets the byte
-        // ranges its watermark is missing, then the writes are flushed
-        // (and parked on EPOLLOUT when the socket fills). The directory
-        // listing and size snapshot are taken once per wake-up and shared
-        // — N followers must not mean N directory scans.
-        std::vector<SegmentState> segments;
-        bool listed = false;
-        std::vector<int> dead;
-        for (auto& [fd, conn] : followers_) {
-            if (!conn.subscribed) continue;
-            if (!listed) {
-                listed = true;
-                for (const auto& path : storage::list_segments(options_.segments_dir)) {
-                    SegmentState state;
-                    state.name = fs::path(path).filename().string();
-                    if (!valid_segment_name(state.name)) continue;  // foreign file
-                    std::error_code ec;
-                    state.size = fs::file_size(path, ec);
-                    if (ec) continue;  // vanished between listing and stat
-                    state.path = path;
-                    segments.push_back(std::move(state));
-                }
-            }
-            pump(conn, segments);
-            if (conn.out_pos < conn.out.size() && !conn.want_write &&
-                !flush_writes(fd, conn)) {
-                dead.push_back(fd);
-            }
-        }
-        for (const int fd : dead) close_connection(fd);
     }
 }
 

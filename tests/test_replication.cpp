@@ -27,6 +27,7 @@
 
 #include "behavior/shapelet.hpp"
 #include "fuzzy/fuzzy.hpp"
+#include "listener_checks.hpp"
 #include "net/codec.hpp"
 #include "net/message.hpp"
 #include "serve/serve.hpp"
@@ -215,6 +216,82 @@ TEST(Replication, LeaderRestartWithFreshSegmentSequence) {
     ASSERT_TRUE(eventually([&] { return dir_bytes(replica_dir) == dir_bytes(leader_dir); }));
     EXPECT_EQ(records_of(replica_dir), records_of(leader_dir));
     EXPECT_EQ(ss::list_segments(replica_dir).size(), 2u) << "fresh sequence = second file";
+}
+
+// ---------------------------------------------------------------------------
+// Admission: the follower cap, SUBSCRIBE validation, fd exhaustion
+
+TEST(Replication, FollowerCapClosesTheNextConnection) {
+    ScratchDir dir("cap");
+    const auto leader_dir = dir.sub("leader");
+    ss::SegmentStore store(leader_dir, 1);
+    store.append(0, "alpha");
+    store.sync_all();
+    sv::ReplicationSource source(source_options(leader_dir));
+
+    std::vector<int> followers;
+    for (int i = 0; i < 64; ++i) {
+        followers.push_back(listener_checks::raw_connect(source.port()));
+        ASSERT_GE(followers.back(), 0);
+    }
+    ASSERT_TRUE(eventually([&] { return source.stats().connections == 64; }));
+    const int extra = listener_checks::raw_connect(source.port());
+    ASSERT_GE(extra, 0);
+    EXPECT_TRUE(listener_checks::closed_by_server(extra))
+        << "the 65th follower must be closed at accept";
+    ::close(extra);
+    EXPECT_EQ(source.stats().rejected, 1u);
+    for (const int fd : followers) ::close(fd);
+}
+
+TEST(Replication, TraversalSubscribeDropsOnlyThatConnection) {
+    ScratchDir dir("traversal");
+    const auto leader_dir = dir.sub("leader");
+    const auto replica_dir = dir.sub("replica");
+    ss::SegmentStore store(leader_dir, 1);
+    store.append(0, "alpha");
+    store.sync_all();
+    sv::ReplicationSource source(source_options(leader_dir));
+    sv::ReplicationFollower follower(follow_options(source.port(), replica_dir));
+    ASSERT_TRUE(eventually([&] { return dir_bytes(replica_dir) == dir_bytes(leader_dir); }));
+
+    const int rogue = listener_checks::raw_connect(source.port());
+    ASSERT_GE(rogue, 0);
+    ASSERT_TRUE(listener_checks::send_frame(rogue, "SUBSCRIBE\nhave ../etc/passwd.seg 1\n"));
+    EXPECT_TRUE(listener_checks::closed_by_server(rogue))
+        << "a SUBSCRIBE naming a path outside the segment directory must drop the connection";
+    ::close(rogue);
+
+    store.append(0, "beta");
+    store.sync_all();
+    ASSERT_TRUE(eventually([&] { return dir_bytes(replica_dir) == dir_bytes(leader_dir); }))
+        << "the well-formed follower must keep converging";
+    EXPECT_EQ(records_of(replica_dir), records_of(leader_dir));
+    EXPECT_EQ(source.stats().protocol_errors, 1u);
+    EXPECT_EQ(follower.stats().disconnects, 0u);
+}
+
+TEST(Replication, FdExhaustionStallsAcceptThenRecovers) {
+    ScratchDir dir("emfile");
+    const auto leader_dir = dir.sub("leader");
+    ss::SegmentStore store(leader_dir, 1);
+    store.append(0, "alpha");
+    store.sync_all();
+    sv::ReplicationSource source(source_options(leader_dir));
+
+    listener_checks::fd_exhaustion_drill({
+        .port = source.port(),
+        .accepted = [&] { return source.stats().connections; },
+        .accept_stalls = [&] { return source.stats().accept_stalls; },
+        .serves =
+            [](int pending) {
+                ASSERT_TRUE(listener_checks::send_frame(pending, "SUBSCRIBE\n"));
+                const auto chunk = listener_checks::read_frame(pending);
+                ASSERT_TRUE(chunk.has_value())
+                    << "a follower accepted after the stall must be shipped";
+                EXPECT_TRUE(chunk->starts_with("DATA ")) << *chunk;
+            },
+    });
 }
 
 // ---------------------------------------------------------------------------

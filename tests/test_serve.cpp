@@ -7,7 +7,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "fuzzy/fuzzy.hpp"
+#include "listener_checks.hpp"
 #include "net/codec.hpp"
 #include "net/message.hpp"
 #include "serve/serve.hpp"
@@ -691,21 +691,10 @@ TEST(QueryServer, GarbageFrameDropsConnectionNotServer) {
 
 namespace {
 
-/// Blocking loopback socket for protocol-level tests that need pipelining
-/// or a stub server — things QueryClient's one-request-at-a-time API
-/// deliberately does not expose.
-int raw_connect(std::uint16_t port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
+/// Raw sockets for protocol-level tests that need pipelining or a stub
+/// server — things QueryClient's one-request-at-a-time API deliberately
+/// does not expose.
+using listener_checks::raw_connect;
 
 /// Read until `count` complete frames arrive; returns their payloads.
 std::vector<std::string> read_frames(int fd, std::size_t count) {
@@ -926,77 +915,48 @@ TEST(QueryServer, FdExhaustionStallsAcceptThenRecovers) {
         sv::QueryClient client("127.0.0.1", server.port());
         EXPECT_NE(client.stats_text().find("families"), std::string::npos);
     }
-    const auto accepted_before = server.stats().connections;
+    listener_checks::fd_exhaustion_drill({
+        .port = server.port(),
+        .accepted = [&] { return server.stats().connections; },
+        .accept_stalls = [&] { return server.stats().accept_stalls; },
+        .serves =
+            [](int pending) {
+                ASSERT_TRUE(listener_checks::send_frame(pending, "STATS"));
+                const auto reply = listener_checks::read_frame(pending);
+                ASSERT_TRUE(reply.has_value())
+                    << "a connection accepted after the stall must be fully served";
+                EXPECT_TRUE(reply->starts_with("OK\n")) << *reply;
+            },
+    });
+}
 
-    // Client sockets created while fds are plentiful: connect() only needs
-    // the listen backlog, so they establish even while the server cannot
-    // accept4 them.
-    int pending[3];
-    for (int& s : pending) {
-        s = ::socket(AF_INET, SOCK_STREAM, 0);
-        ASSERT_GE(s, 0);
+TEST(QueryServer, ConnectionCapClosesTheNextConnection) {
+    sv::RecognitionService service(fast_options());
+    sv::QueryServer server(service);
+    std::vector<int> clients;
+    for (int i = 0; i < 256; ++i) {
+        clients.push_back(raw_connect(server.port()));
+        ASSERT_GE(clients.back(), 0);
     }
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-
-    // Deny the whole process new fds: the next accept4 fails with EMFILE.
-    // RAII restore so a failing assertion cannot starve the rest of the
-    // binary.
-    struct Restore {
-        rlimit saved{};
-        bool armed = false;
-        void now() {
-            if (armed) {
-                ::setrlimit(RLIMIT_NOFILE, &saved);
-                armed = false;
-            }
-        }
-        ~Restore() { now(); }
-    } restore;
-    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &restore.saved), 0);
-    restore.armed = true;
-    rlimit tight = restore.saved;
-    tight.rlim_cur = 0;
-    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
-
-    for (int s : pending) {
-        ASSERT_EQ(::connect(s, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-    }
-
-    // The listener must disarm (counted) instead of hot-spinning the event
-    // loop or wedging it.
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (server.stats().accept_stalls == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.stats().connections < 256 && std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    ASSERT_GE(server.stats().accept_stalls, 1u)
-        << "EMFILE on accept must disarm the listener and count the stall";
-    EXPECT_EQ(server.stats().connections, accepted_before)
-        << "nothing can be accepted while fds are exhausted";
+    ASSERT_EQ(server.stats().connections, 256u);
 
-    // fds come back: the re-armed listener drains the backlog it never
-    // dropped — every pre-squeeze connection gets served.
-    restore.now();
-    deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (server.stats().connections < accepted_before + 3 &&
-           std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_EQ(server.stats().connections, accepted_before + 3);
+    const int extra = raw_connect(server.port());
+    ASSERT_GE(extra, 0);
+    EXPECT_TRUE(listener_checks::closed_by_server(extra))
+        << "the 257th connection must be closed at accept";
+    ::close(extra);
+    EXPECT_EQ(server.stats().rejected, 1u);
 
-    std::string request;
-    sv::append_frame(request, "STATS");
-    ASSERT_EQ(::send(pending[0], request.data(), request.size(), 0),
-              static_cast<ssize_t>(request.size()));
-    char buf[4096];
-    EXPECT_GT(::recv(pending[0], buf, sizeof buf, 0), 0)
-        << "a connection accepted after the stall must be fully served";
-
-    for (int s : pending) ::close(s);
+    // The connections under the cap are still served.
+    ASSERT_TRUE(listener_checks::send_frame(clients.back(), "STATS"));
+    const auto reply = listener_checks::read_frame(clients.back());
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(reply->starts_with("OK\n")) << *reply;
+    for (const int fd : clients) ::close(fd);
 }
 
 // ---------------------------------------------------------------------------
