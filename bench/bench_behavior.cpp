@@ -83,7 +83,6 @@ FusedService& fused_service() {
         FusedService f;
         siren::util::Rng rng(4242);
         sv::ServeOptions options;
-        options.writer_idle = std::chrono::milliseconds(1);
         options.publish_interval = std::chrono::milliseconds(10);
         f.service = std::make_unique<sv::RecognitionService>(options);
         const std::uint64_t ladder[] = {1536, 3072, 6144};

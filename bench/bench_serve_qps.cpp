@@ -76,7 +76,6 @@ LiveService& live_service(std::size_t n) {
     }
 
     sv::ServeOptions options;
-    options.writer_idle = std::chrono::milliseconds(1);
     // Amortize the snapshot copy across ~10ms of applied batches — the
     // deployment setting for write-heavy feeds (staleness stays bounded).
     options.publish_interval = std::chrono::milliseconds(10);
@@ -195,7 +194,6 @@ TcpFleet& tcp_fleet() {
     static TcpFleet fleet = [] {
         LiveService& live = live_service(10000);
         sv::ServeOptions options;
-        options.writer_idle = std::chrono::milliseconds(1);
         options.publish_interval = std::chrono::milliseconds(10);
         options.batch_pool_threads = 2;
         TcpFleet built;
@@ -274,7 +272,6 @@ sv::RecognitionService& registry_scale_service(std::size_t families) {
         out << body;
     }
     sv::ServeOptions options;
-    options.writer_idle = std::chrono::milliseconds(1);
     options.checkpoint_path = path.string();
     slot = std::make_unique<sv::RecognitionService>(options);
     return *slot;

@@ -22,6 +22,13 @@ namespace {
     throw util::SystemError(std::string(what) + ": " + std::strerror(errno));
 }
 
+/// A shard worker write()s its segment buffer once the oldest record in it
+/// is this old, so a journaled record is readable (SegmentTail,
+/// replication) about this long after the worker handled it, however far
+/// the buffer is from buffer_bytes. At most ~1,000 extra write() calls per
+/// shard per second.
+constexpr std::chrono::milliseconds kMaxBufferAge{1};
+
 }  // namespace
 
 IngestServer::Shard::~Shard() {
@@ -176,11 +183,34 @@ void IngestServer::worker_loop(Shard& shard) {
     std::string arena;
     std::vector<std::pair<std::size_t, std::size_t>> spans;
     std::vector<net::MessageView> views;
-    storage::SegmentStore* store = options_.store;
+    storage::SegmentWriter* writer =
+        options_.store ? &options_.store->writer(shard.index) : nullptr;
+    // When the oldest record still in the writer's buffer was handled.
+    constexpr std::chrono::steady_clock::time_point kNothingBuffered{};
+    auto buffered_since = kNothingBuffered;
+    // Records a failed write dropped after append() accepted them: moved
+    // from `appended` to `storage_errors` as the writer reports them.
+    std::uint64_t dropped_seen = writer ? writer->dropped_records() : 0;
+    const auto count_dropped = [&] {
+        const std::uint64_t dropped = writer->dropped_records();
+        if (dropped == dropped_seen) return;
+        shard.appended.fetch_sub(dropped - dropped_seen, std::memory_order_relaxed);
+        shard.storage_errors.fetch_add(dropped - dropped_seen, std::memory_order_relaxed);
+        dropped_seen = dropped;
+    };
+    const auto flush_if_aged = [&](std::chrono::steady_clock::time_point now) {
+        if (buffered_since == kNothingBuffered || now - buffered_since < kMaxBufferAge) return;
+        writer->flush();
+        buffered_since = kNothingBuffered;
+        count_dropped();
+    };
+    // Idle durability barrier, inline-fsync mode only: the group-commit
+    // flusher already fsyncs whatever the age bound wrote. Debounced: a
+    // momentary ring-empty blip during steady traffic must not fsync (at
+    // ~0.5 ms each, per-blip syncs would dwarf the fsync-interval
+    // batching); only a real pause syncs the tail.
+    const bool idle_sync = writer && options_.flush_interval.count() == 0;
     bool idle_synced = true;
-    // Idle syncs are debounced: a momentary ring-empty blip during steady
-    // traffic must not fsync (at ~0.5 ms each, per-blip syncs would dwarf
-    // the fsync-interval batching); only a real pause flushes the tail.
     int empty_polls = 0;
     constexpr int kIdleSyncPolls = 25;  // ~5 ms of consecutive emptiness
 
@@ -199,10 +229,10 @@ void IngestServer::worker_loop(Shard& shard) {
             // receivers are joined and stop_workers_ is set, nothing can
             // arrive anymore.
             if (stop_workers_.load(std::memory_order_acquire)) break;
-            if (store && !idle_synced && ++empty_polls >= kIdleSyncPolls) {
-                // Idle durability barrier: when traffic pauses, push the
-                // tail of the fsync batch out instead of sitting on it.
-                store->writer(shard.index).sync();
+            if (writer) flush_if_aged(std::chrono::steady_clock::now());
+            if (idle_sync && !idle_synced && ++empty_polls >= kIdleSyncPolls) {
+                writer->sync();
+                count_dropped();
                 idle_synced = true;
             }
             std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -212,16 +242,19 @@ void IngestServer::worker_loop(Shard& shard) {
 
         // Journal raw datagrams before decoding: the segment store is a
         // write-ahead log of exactly what hit the wire, malformed or not.
-        if (store) {
-            storage::SegmentWriter& writer = store->writer(shard.index);
+        if (writer) {
+            const auto now = std::chrono::steady_clock::now();
+            if (buffered_since == kNothingBuffered) buffered_since = now;
             std::uint64_t ok = 0;
             for (const auto& [offset, size] : spans) {
-                if (writer.append(std::string_view(arena).substr(offset, size))) ++ok;
+                if (writer->append(std::string_view(arena).substr(offset, size))) ++ok;
             }
             shard.appended.fetch_add(ok, std::memory_order_relaxed);
             if (ok != spans.size()) {
                 shard.storage_errors.fetch_add(spans.size() - ok, std::memory_order_relaxed);
             }
+            count_dropped();
+            flush_if_aged(now);
             idle_synced = false;
         }
 
@@ -243,7 +276,10 @@ void IngestServer::worker_loop(Shard& shard) {
         shard.processed.fetch_add(drained, std::memory_order_release);
     }
 
-    if (store) store->writer(shard.index).sync();
+    if (writer) {
+        writer->sync();
+        count_dropped();
+    }
 }
 
 void IngestServer::flusher_loop() {

@@ -46,9 +46,11 @@ struct IngestOptions {
     /// Group-commit cadence (durable mode): shard workers append at
     /// page-cache speed (inline fsync disabled on the store's writers) and
     /// a background flusher fsyncs every flush_interval — the classic WAL
-    /// overlap that keeps the durable path near the in-memory path while
-    /// bounding the durability window to roughly this interval plus one
-    /// write buffer. 0 restores the writers' inline fsync batching.
+    /// overlap that keeps the durable path near the in-memory path. Each
+    /// worker write()s its buffer once the oldest record in it is ~1 ms
+    /// old, so the durability window is about this interval + 1 ms. 0
+    /// restores the writers' inline fsync batching, plus an fsync after
+    /// ~5 ms without traffic.
     std::chrono::milliseconds flush_interval{10};
     /// When positive (and a store is set), a background thread compacts
     /// consolidated segments at this cadence.
@@ -69,7 +71,9 @@ struct IngestStats {
     std::uint64_t decoded = 0;         ///< well-formed messages handed to the handler
     std::uint64_t malformed = 0;       ///< decode_view rejections
     std::uint64_t appended = 0;        ///< raw datagrams journaled to the store
-    std::uint64_t storage_errors = 0;  ///< store appends that failed
+    /// Datagrams the store lost: appends that failed, and accepted records
+    /// a later failed buffer write dropped (moved here from `appended`).
+    std::uint64_t storage_errors = 0;
     std::uint64_t batches = 0;         ///< handler invocations
     std::uint64_t compactions = 0;     ///< segments removed by the background thread
 };

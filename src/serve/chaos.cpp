@@ -28,7 +28,6 @@ using Clock = std::chrono::steady_clock;
 ServeOptions fleet_service_options() {
     ServeOptions options;
     options.feed_poll = std::chrono::milliseconds(2);
-    options.writer_idle = std::chrono::milliseconds(2);
     options.checkpoint_interval = std::chrono::milliseconds(0);
     return options;
 }

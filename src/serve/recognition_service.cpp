@@ -1,8 +1,12 @@
 #include "serve/recognition_service.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <sys/inotify.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -20,6 +24,13 @@ namespace siren::serve {
 namespace fs = std::filesystem;
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Earliest retry of a publish a failpoint aborted, when publish_interval
+/// is shorter: the dirty state must not turn the writer's sleep into a
+/// zero-timeout loop.
+constexpr std::chrono::milliseconds kPublishRetry{1};
 
 /// Write `body` to `path` atomically: tmp file, fsync, rename, fsync the
 /// directory — a crash leaves either the old checkpoint or the new one,
@@ -84,6 +95,100 @@ std::optional<Identified> best_content_match(const RegistrySnapshot& snap,
 }
 
 }  // namespace
+
+/// One ppoll() over an eventfd that in-process callers write (observe*,
+/// flush, checkpoint_now, stop) and an inotify watch on the followed
+/// segment directory. Inotify reports appends from another process
+/// (siren_ingestd) and from a follower's ReplicationSink alike. Where it is
+/// unavailable — inotify_init1 fails at the per-user instance limit, the
+/// directory does not exist yet, or the watch is removed with it — the
+/// writer's timed fallback poll still reads the directory and calls
+/// watch() again. Network filesystems (NFS, Lustre) accept the watch but
+/// do not report remote writes; the fallback poll covers them too.
+class RecognitionService::WriterWake {
+public:
+    /// Throws util::SystemError when no eventfd can be created; a failed
+    /// watch is never an error.
+    explicit WriterWake(std::string directory) : directory_(std::move(directory)) {
+        event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+        if (event_fd_ < 0) {
+            throw util::SystemError(std::string("recognition service eventfd(): ") +
+                                    std::strerror(errno));
+        }
+        watch();
+    }
+    ~WriterWake() {
+        ::close(event_fd_);
+        if (inotify_fd_ >= 0) ::close(inotify_fd_);
+    }
+    WriterWake(const WriterWake&) = delete;
+    WriterWake& operator=(const WriterWake&) = delete;
+
+    /// Wake the writer (any thread).
+    void notify() noexcept {
+        const std::uint64_t one = 1;
+        (void)!::write(event_fd_, &one, sizeof one);
+    }
+
+    /// Arm the directory watch unless it is armed (writer thread).
+    void watch() noexcept {
+        if (directory_.empty() || watch_ >= 0) return;
+        if (inotify_fd_ < 0) inotify_fd_ = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+        if (inotify_fd_ < 0) return;
+        watch_ = ::inotify_add_watch(inotify_fd_, directory_.c_str(),
+                                     IN_MODIFY | IN_CREATE | IN_MOVED_TO);
+    }
+
+    /// Sleep until notify(), `timeout` (nullopt: none) or, when
+    /// `watch_dir` and the watch is armed, a change in the directory.
+    /// True when the directory changed (writer thread).
+    bool wait(std::optional<Clock::duration> timeout, bool watch_dir) noexcept {
+        pollfd fds[2] = {{event_fd_, POLLIN, 0}, {inotify_fd_, POLLIN, 0}};
+        const nfds_t count = watch_dir && watch_ >= 0 ? 2 : 1;
+        timespec limit{};
+        if (timeout) {
+            const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                std::max(*timeout, Clock::duration::zero()))
+                                .count();
+            limit.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+            limit.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+        }
+        if (::ppoll(fds, count, timeout ? &limit : nullptr, nullptr) <= 0) return false;
+        if ((fds[0].revents & POLLIN) != 0) {
+            std::uint64_t ticks = 0;
+            (void)!::read(event_fd_, &ticks, sizeof ticks);
+        }
+        return count == 2 && (fds[1].revents & POLLIN) != 0 && discard_changes();
+    }
+
+    /// Read every queued directory event; true when there was one. Called
+    /// right before the writer reads the directory, so a change that poll
+    /// covers does not wake it again (writer thread).
+    bool discard_changes() noexcept {
+        if (inotify_fd_ < 0) return false;
+        alignas(inotify_event) char buffer[4096];
+        bool changed = false;
+        for (;;) {
+            const ssize_t n = ::read(inotify_fd_, buffer, sizeof buffer);
+            if (n <= 0) return changed;  // EAGAIN: the queue is empty
+            changed = true;
+            for (std::size_t at = 0; at + sizeof(inotify_event) <= static_cast<std::size_t>(n);) {
+                inotify_event event;
+                std::memcpy(&event, buffer + at, sizeof event);
+                // The directory was removed (or unmounted): the fallback
+                // poll re-arms the watch once it exists again.
+                if ((event.mask & IN_IGNORED) != 0) watch_ = -1;
+                at += sizeof(inotify_event) + event.len;
+            }
+        }
+    }
+
+private:
+    std::string directory_;  ///< empty: nothing to watch
+    int event_fd_ = -1;
+    int inotify_fd_ = -1;
+    int watch_ = -1;
+};
 
 std::string_view query_verb_name(QueryVerb verb) {
     switch (verb) {
@@ -170,6 +275,9 @@ RecognitionService::RecognitionService(ServeOptions options)
         batch_pool_ = std::make_unique<util::ThreadPool>(options_.batch_pool_threads);
     }
     publish(0);
+    // The watch is armed after catch-up; the writer's first cycle polls the
+    // feed at once, so nothing appended in between waits for a change.
+    wake_ = std::make_unique<WriterWake>(tail_ ? options_.segments_dir : std::string());
     writer_ = std::thread([this] { writer_loop(); });
 }
 
@@ -472,11 +580,15 @@ bool RecognitionService::write_checkpoint(std::string& error) {
 }
 
 void RecognitionService::writer_loop() {
-    auto last_checkpoint = std::chrono::steady_clock::now();
-    auto last_feed = std::chrono::steady_clock::time_point{};     // poll immediately
-    auto last_publish = std::chrono::steady_clock::time_point{};  // publish immediately
+    auto last_checkpoint = Clock::now();
+    auto last_feed = Clock::time_point{};     // poll immediately
+    auto publish_slot = Clock::time_point{};  // earliest next publish: now
     bool dirty = false;                   ///< applied but not yet published
+    bool feed_changed = false;            ///< the directory changed since the last poll
+    bool feed_backlog = false;            ///< the last poll stopped at feed_batch_max
     std::uint64_t unpublished_seq = 0;    ///< highest applied client seq
+    const bool checkpoint_timer =
+        options_.checkpoint_interval.count() > 0 && !options_.checkpoint_path.empty();
 
     std::vector<PendingObserve> batch;
     std::vector<std::pair<std::shared_ptr<std::promise<Identified>>, Identified>> replies;
@@ -489,16 +601,36 @@ void RecognitionService::writer_loop() {
     };
 
     for (;;) {
+        // Sleep until the nearest deadline: the fallback feed poll, a feed
+        // poll a directory change made due at the publish slot, a pending
+        // publish, the checkpoint timer. A client call wakes the writer
+        // earlier; so does a directory change, unless a poll is already
+        // due — one read of the tail per publish, not one per write().
+        {
+            const auto now = Clock::now();
+            auto deadline = Clock::time_point::max();
+            if (tail_) {
+                deadline = feed_backlog ? now : last_feed + options_.feed_poll;
+                if (feed_changed) deadline = std::min(deadline, publish_slot);
+            }
+            if (dirty) deadline = std::min(deadline, publish_slot);
+            if (checkpoint_timer) {
+                deadline = std::min(deadline, last_checkpoint + options_.checkpoint_interval);
+            }
+            const auto timeout = deadline == Clock::time_point::max()
+                                     ? std::nullopt
+                                     : std::optional<Clock::duration>(deadline - now);
+            if (wake_->wait(timeout, tail_ && !feed_changed && !feed_backlog)) {
+                feed_changed = true;
+            }
+        }
+
         bool checkpoint_wanted = false;
         bool stopping = false;
         batch.clear();
         replies.clear();
         {
-            std::unique_lock lock(queue_mutex_);
-            queue_cv_.wait_for(lock, options_.writer_idle, [this] {
-                return stop_.load(std::memory_order_relaxed) || !queue_.empty() ||
-                       checkpoint_requested_;
-            });
+            std::lock_guard lock(queue_mutex_);
             batch.swap(queue_);
             checkpoint_wanted = checkpoint_requested_;
             checkpoint_requested_ = false;
@@ -511,7 +643,8 @@ void RecognitionService::writer_loop() {
         // replays them in exactly this order.
         std::size_t fed = 0;
         bool polled_feed = false;
-        const auto now = std::chrono::steady_clock::now();
+        const auto now = Clock::now();
+        const bool fallback_due = now - last_feed >= options_.feed_poll;
         if (wal_ && !batch.empty()) {
             // Leader WAL mode: journal the batch and pull it back through
             // the feed — that drain doubles as this cycle's feed poll.
@@ -520,15 +653,21 @@ void RecognitionService::writer_loop() {
             fed += feed_records_.load(std::memory_order_relaxed) - before;
             polled_feed = true;
             last_feed = now;
-        } else if (tail_ && (stopping || now - last_feed >= options_.feed_poll)) {
+        } else if (tail_ && (stopping || feed_backlog || fallback_due ||
+                             (feed_changed && now >= publish_slot))) {
             polled_feed = true;
-            // One bounded poll per publish cycle; at shutdown, drain
-            // everything the daemon managed to journal.
+            if (fallback_due) wake_->watch();
+            wake_->discard_changes();
+            // One bounded poll per publish cycle (a poll that hit the bound
+            // goes again at once); at shutdown, drain everything the daemon
+            // managed to journal.
             std::size_t n = 0;
             do {
                 n = drain_feed(options_.feed_batch_max);
                 fed += n;
             } while (stopping && n > 0);
+            feed_backlog = n >= options_.feed_batch_max;
+            feed_changed = false;
             last_feed = now;
         }
 
@@ -545,15 +684,17 @@ void RecognitionService::writer_loop() {
         // observe or shutdown always publishes — their contract is
         // read-your-writes on return.
         dirty = dirty || !batch.empty() || fed > 0;
-        if (dirty && (!replies.empty() || stopping ||
-                      std::chrono::steady_clock::now() - last_publish >=
-                          options_.publish_interval)) {
+        if (dirty && (!replies.empty() || stopping || Clock::now() >= publish_slot)) {
             // A failed publish (injected fault) keeps dirty set: the
             // applied state is already in master_, only its visibility is
             // delayed until a later cycle's retry succeeds.
             if (publish(unpublished_seq)) {
-                last_publish = std::chrono::steady_clock::now();
+                publish_slot = Clock::now() + options_.publish_interval;
                 dirty = false;
+            } else {
+                publish_slot =
+                    Clock::now() + std::max<Clock::duration>(options_.publish_interval,
+                                                             kPublishRetry);
             }
         }
 
@@ -573,13 +714,11 @@ void RecognitionService::writer_loop() {
         }
 
         const bool interval_due =
-            options_.checkpoint_interval.count() > 0 &&
-            std::chrono::steady_clock::now() - last_checkpoint >= options_.checkpoint_interval &&
-            !options_.checkpoint_path.empty();
+            checkpoint_timer && Clock::now() - last_checkpoint >= options_.checkpoint_interval;
         if (checkpoint_wanted || (interval_due && !stopping)) {
             std::string error;
             const bool ok = write_checkpoint(error);
-            last_checkpoint = std::chrono::steady_clock::now();
+            last_checkpoint = Clock::now();
             if (ok) {
                 checkpoints_.fetch_add(1, std::memory_order_relaxed);
             } else {
@@ -663,6 +802,7 @@ std::optional<std::uint64_t> RecognitionService::enqueue_observe(fuzzy::FuzzyDig
                                                                  std::string name_hint,
                                                                  bool behavioral) {
     std::uint64_t seq = 0;
+    bool first = false;  // a non-empty queue already has its wake-up in flight
     {
         std::lock_guard lock(queue_mutex_);
         if (writer_done_ || stop_.load(std::memory_order_relaxed) ||
@@ -671,10 +811,11 @@ std::optional<std::uint64_t> RecognitionService::enqueue_observe(fuzzy::FuzzyDig
             return std::nullopt;
         }
         seq = next_seq_++;
+        first = queue_.empty();
         queue_.push_back({std::move(digest), std::move(name_hint), seq, nullptr, behavioral});
     }
     observes_enqueued_.fetch_add(1, std::memory_order_relaxed);
-    queue_cv_.notify_one();
+    if (first) wake_->notify();
     return seq;
 }
 
@@ -682,6 +823,7 @@ Identified RecognitionService::enqueue_observe_sync(fuzzy::FuzzyDigest digest,
                                                     std::string name_hint, bool behavioral) {
     auto reply = std::make_shared<std::promise<Identified>>();
     auto future = reply->get_future();
+    bool first = false;
     {
         std::unique_lock lock(queue_mutex_);
         applied_cv_.wait(lock, [this] {
@@ -691,10 +833,11 @@ Identified RecognitionService::enqueue_observe_sync(fuzzy::FuzzyDigest digest,
         if (writer_done_ || stop_.load(std::memory_order_relaxed)) {
             throw util::Error("recognition service is stopped");
         }
+        first = queue_.empty();
         queue_.push_back({std::move(digest), std::move(name_hint), next_seq_++, reply, behavioral});
     }
     observes_enqueued_.fetch_add(1, std::memory_order_relaxed);
-    queue_cv_.notify_one();
+    if (first) wake_->notify();
     return future.get();
 }
 
@@ -728,6 +871,7 @@ void RecognitionService::flush() {
         // must have started after it — and therefore seen them.
         polls_target = feed_polls_done_ + (tail_ ? 2 : 1);
     }
+    wake_->notify();  // a writer asleep with no deadline still owes a cycle
     std::unique_lock lock(queue_mutex_);
     applied_cv_.wait(lock, [&] {
         return writer_done_ ||
@@ -747,7 +891,7 @@ bool RecognitionService::checkpoint_now(std::string* error) {
         generation = checkpoints_done_;
         checkpoint_requested_ = true;
     }
-    queue_cv_.notify_one();
+    wake_->notify();
     std::unique_lock lock(queue_mutex_);
     applied_cv_.wait(lock,
                      [&] { return writer_done_ || checkpoints_done_ > generation; });
@@ -794,7 +938,7 @@ void RecognitionService::stop() {
         std::lock_guard lock(queue_mutex_);
         stop_.store(true, std::memory_order_relaxed);
     }
-    queue_cv_.notify_all();
+    wake_->notify();
     applied_cv_.notify_all();
     if (writer_.joinable()) writer_.join();
 }

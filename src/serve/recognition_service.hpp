@@ -78,8 +78,12 @@ struct ServeOptions {
     /// Segment directory of an ingest daemon to follow (FILE_H digests
     /// flow into the live registry); empty = client observes only.
     std::string segments_dir;
-    /// How often the writer thread polls the segment directory for new
-    /// records when otherwise idle.
+    /// Fallback cadence of the segment-directory poll. The writer reads
+    /// the directory when inotify reports a change in it (at the next
+    /// publish slot), and at least this often in any case: that timed poll
+    /// is all that follows a directory where inotify is unavailable (the
+    /// per-user instance limit, a directory not created yet, NFS or Lustre,
+    /// which do not report remote writes). flush() waits for two polls.
     std::chrono::milliseconds feed_poll{20};
     /// Records applied per writer iteration before a snapshot is published;
     /// bounds both publish latency during catch-up and snapshot staleness.
@@ -92,9 +96,6 @@ struct ServeOptions {
     /// and the final checkpoint at stop().
     std::chrono::milliseconds checkpoint_interval{30000};
 
-    /// Longest the writer sleeps waiting for queued observes before it
-    /// polls the feed again.
-    std::chrono::milliseconds writer_idle{5};
     /// Minimum spacing between snapshot publishes. A publish copies only
     /// the storage chunks the batch touched (O(delta), structural sharing
     /// with the previous snapshot), so this knob now mainly bounds the
@@ -249,6 +250,9 @@ struct ServeCounters {
 ///     column chunk with the previous snapshot, so publish cost tracks the
 ///     batch, not the corpus. Readers holding the previous snapshot keep
 ///     it (and the chunks only it references) alive until they drop it.
+///     Between cycles the writer sleeps until a client call wakes it, the
+///     followed segment directory changes (inotify), or a deadline falls
+///     due: the next publish, the fallback feed poll or a checkpoint.
 ///
 /// Persistence: the writer periodically checkpoints the registry together
 /// with the segment-tail watermark (atomic tmp+rename). Crash recovery =
@@ -261,7 +265,8 @@ public:
     /// Loads the checkpoint when one exists (throws util::ParseError if it
     /// is corrupt — a daemon must not silently start empty over real
     /// state), replays segments past the watermark, publishes the boot
-    /// snapshot, then starts the writer thread.
+    /// snapshot, then starts the writer thread (throws util::SystemError
+    /// when the process has no file descriptor left for its eventfd).
     explicit RecognitionService(ServeOptions options);
     ~RecognitionService();
 
@@ -451,8 +456,12 @@ private:
     std::atomic<std::shared_ptr<const PartitionMap>> partition_map_;
     mutable std::atomic<std::uint64_t> wrong_shard_rejects_{0};
 
+    /// The writer thread's sleep: an eventfd the wakers below write, plus
+    /// an inotify watch on segments_dir (recognition_service.cpp).
+    class WriterWake;
+    std::unique_ptr<WriterWake> wake_;
+
     mutable std::mutex queue_mutex_;
-    std::condition_variable queue_cv_;    ///< wakes the writer
     std::condition_variable applied_cv_;  ///< wakes flush()/observe_sync waiters
     std::vector<PendingObserve> queue_;
     std::uint64_t next_seq_ = 1;

@@ -147,14 +147,20 @@ bool SegmentWriter::open_next() noexcept {
     return true;
 }
 
-bool SegmentWriter::flush_buffer() noexcept {
+void SegmentWriter::drop_buffer(std::size_t unwritten) noexcept {
+    ++errors_;
+    ++flush_drops_;
+    dropped_records_ += buffered_records_;
+    buffered_records_ = 0;
+    pending_bytes_.fetch_sub(unwritten, std::memory_order_relaxed);
+    buffer_.clear();
+}
+
+bool SegmentWriter::flush() noexcept {
     if (buffer_.empty()) return true;
     if (fd_ < 0) {
         // Nothing to write into: drop the buffered bytes, count the loss.
-        ++errors_;
-        ++flush_drops_;
-        pending_bytes_.fetch_sub(buffer_.size(), std::memory_order_relaxed);
-        buffer_.clear();
+        drop_buffer(buffer_.size());
         return false;
     }
     const char* p = buffer_.data();
@@ -187,10 +193,7 @@ bool SegmentWriter::flush_buffer() noexcept {
             // partial write() may have left a truncated record mid-file,
             // abandon this segment so the misaligned framing cannot poison
             // records appended after it.
-            ++errors_;
-            ++flush_drops_;
-            pending_bytes_.fetch_sub(remaining, std::memory_order_relaxed);
-            buffer_.clear();
+            drop_buffer(remaining);
             abandon_segment();
             return false;
         }
@@ -199,6 +202,7 @@ bool SegmentWriter::flush_buffer() noexcept {
         remaining -= static_cast<std::size_t>(n);
     }
     buffer_.clear();
+    buffered_records_ = 0;
     return true;
 }
 
@@ -253,12 +257,13 @@ bool SegmentWriter::append(std::string_view record, std::uint8_t kind) noexcept 
     }
 
     const std::uint64_t framed = kRecordHeaderBytes + record.size();
+    ++buffered_records_;
     ++appended_;
     appended_bytes_ += framed;
     segment_bytes_ += framed;
     pending_bytes_.fetch_add(framed, std::memory_order_relaxed);
 
-    if (buffer_.size() >= options_.buffer_bytes) flush_buffer();
+    if (buffer_.size() >= options_.buffer_bytes) flush();
     // Group-commit mode skips the interval fsync entirely: the buffer_bytes
     // flush above keeps bytes flowing to the page cache and the flusher
     // thread's sync_written() makes them durable — the unsynced watermark
@@ -276,7 +281,11 @@ bool SegmentWriter::append(std::string_view record, std::uint8_t kind) noexcept 
         }
     }
     if (segment_bytes_ >= options_.max_segment_bytes) rotate();
-    return flush_drops_ == drops_before;
+    if (flush_drops_ == drops_before) return true;
+    // The first drop above took this record with it: it is reported here,
+    // not among the accepted records dropped_records() counts.
+    --dropped_records_;
+    return false;
 }
 
 void SegmentWriter::sync_written() noexcept {
@@ -329,7 +338,7 @@ void SegmentWriter::sync_written() noexcept {
 }
 
 void SegmentWriter::sync() noexcept {
-    flush_buffer();
+    flush();
     if (fd_ >= 0 && options_.fsync_enabled && unsynced_bytes() > 0) {
         const bool injected = SIREN_FAILPOINT("storage.segment.fsync").action ==
                               util::failpoint::Action::kError;

@@ -91,6 +91,12 @@ public:
     /// writer can introduce new kinds without wedging older replicas.
     bool append(std::string_view record, std::uint8_t kind = kRecordKindRaw) noexcept;
 
+    /// Write the user-space buffer to the active segment without fsync:
+    /// every record appended so far becomes readable (SegmentTail,
+    /// replication) at page-cache speed. False when the write failed; the
+    /// records it lost are counted in dropped_records().
+    bool flush() noexcept;
+
     /// Durability barrier: write out the user-space buffer and fsync.
     /// No-op when nothing is pending.
     void sync() noexcept;
@@ -103,7 +109,9 @@ public:
 
     /// Disable the append-path fsync-at-interval (buffer flushes at
     /// interval instead); pair with a background thread calling
-    /// sync_written(). Durability lag becomes flush cadence + one buffer.
+    /// sync_written(). Durability lag becomes flush cadence + whatever the
+    /// appender has not yet write()n (at most one buffer; ingest shard
+    /// workers flush() theirs once its oldest record is ~1 ms old).
     void set_inline_fsync(bool inline_fsync) { inline_fsync_ = inline_fsync; }
 
     /// Seal the active segment (sync + close + on_seal) — the next append
@@ -115,6 +123,11 @@ public:
     void close() noexcept;
 
     std::uint64_t appended() const { return appended_; }
+    /// Records append() accepted (returned true for) that a later failed
+    /// write dropped — in flush(), sync(), rotate() or a later append's
+    /// buffer write. With append()'s false returns, this accounts for
+    /// every record that never reached the file. Appender thread only.
+    std::uint64_t dropped_records() const { return dropped_records_; }
     std::uint64_t appended_bytes() const { return appended_bytes_; }
     std::uint64_t errors() const { return errors_.load(std::memory_order_relaxed); }
     std::uint64_t syncs() const { return syncs_.load(std::memory_order_relaxed); }
@@ -137,7 +150,10 @@ public:
 
 private:
     bool open_next() noexcept;
-    bool flush_buffer() noexcept;
+    /// Empty the buffer after a failed or impossible write: its records
+    /// are lost (counted), and `unwritten` of its bytes never reached the
+    /// file.
+    void drop_buffer(std::size_t unwritten) noexcept;
     /// Raise the durable watermark to `watermark` (CAS-max: the appender's
     /// sync() and the flusher's sync_written() race benignly).
     void advance_synced(std::uint64_t watermark) noexcept;
@@ -179,6 +195,8 @@ private:
     /// record was dropped — errors_ won't do, since the flusher thread
     /// also counts fsync failures there, which are not record drops.
     std::uint64_t flush_drops_ = 0;
+    std::uint64_t buffered_records_ = 0;  ///< records in buffer_ (appender thread only)
+    std::uint64_t dropped_records_ = 0;   ///< see dropped_records()
     /// After a failed interval fsync, no retry until pending_bytes_ passes
     /// this mark — one failing fsync per interval, not one per append
     /// (appender thread only).

@@ -88,7 +88,7 @@ std::size_t SegmentStore::compact() noexcept {
         }
     }
     sealed_.swap(keep);
-    compacted_ += removed;
+    compacted_.fetch_add(removed, std::memory_order_relaxed);
     return removed;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -38,7 +39,7 @@ public:
     /// design); distinct shards are safe concurrently.
     bool append(std::size_t shard, std::string_view record) noexcept;
 
-    /// Direct writer access for per-shard idle syncs and stats.
+    /// Direct writer access for per-shard flushes, idle syncs and stats.
     SegmentWriter& writer(std::size_t shard) { return *writers_[shard]; }
 
     /// Durability barrier across every shard.
@@ -70,7 +71,9 @@ public:
     std::uint64_t appended_bytes() const;
     std::uint64_t errors() const;
     std::uint64_t segments_sealed() const;
-    std::uint64_t segments_compacted() const { return compacted_; }
+    std::uint64_t segments_compacted() const {
+        return compacted_.load(std::memory_order_relaxed);
+    }
 
 private:
     struct Sealed {
@@ -84,7 +87,8 @@ private:
     mutable std::mutex sealed_mutex_;
     std::vector<Sealed> sealed_;
     std::uint64_t sealed_count_ = 0;
-    std::uint64_t compacted_ = 0;
+    /// Written by compact() (a background thread), read lock-free.
+    std::atomic<std::uint64_t> compacted_{0};
 };
 
 }  // namespace siren::storage

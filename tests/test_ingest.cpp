@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <span>
 #include <string>
@@ -17,8 +19,10 @@
 #include "ingest/spsc_ring.hpp"
 #include "net/codec.hpp"
 #include "net/udp.hpp"
+#include "serve/segment_tail.hpp"
 #include "storage/segment_store.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 
 namespace si = siren::ingest;
 namespace sn = siren::net;
@@ -253,6 +257,94 @@ TEST(IngestServer, DurableModeJournalsEveryDatagramForReplay) {
     EXPECT_EQ(replayed, kMessages);
     EXPECT_EQ(garbage, 1u);
     EXPECT_EQ(stats.torn_tails, 0u);
+}
+
+TEST(IngestServer, BufferedRecordsBecomeReadableWithinTheAgeBound) {
+    // A steady trickle — one datagram per 0.5 ms — never leaves the ring
+    // empty for the ~5 ms an idle sync needs, and 600 small records stay
+    // far below a 256 KiB buffer: only the age bound makes them readable.
+    TempDir dir;
+    siren::storage::SegmentOptions seg_options;
+    seg_options.fsync_enabled = false;
+    siren::storage::SegmentStore store(dir.path(), 1, seg_options);
+    si::IngestOptions options;
+    options.shards = 1;
+    options.store = &store;
+    si::IngestServer server(options, nullptr);
+
+    using Clock = std::chrono::steady_clock;
+    constexpr int kRecords = 600;
+    std::vector<std::atomic<std::int64_t>> injected_ns(kRecords);
+    const auto since = [t0 = Clock::now()] {
+        return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count();
+    };
+    std::thread injector([&] {
+        const auto start = Clock::now();
+        for (int i = 0; i < kRecords; ++i) {
+            std::this_thread::sleep_until(start + std::chrono::microseconds(500) * i);
+            injected_ns[i].store(since(), std::memory_order_release);
+            while (!server.inject(0, sn::encode(sample_message(i)))) std::this_thread::yield();
+        }
+    });
+
+    siren::serve::SegmentTail tail(dir.path());
+    std::vector<std::int64_t> lag_ns(kRecords, -1);
+    int read = 0;
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (read < kRecords && Clock::now() < deadline) {
+        read += static_cast<int>(tail.poll([&](std::string_view record) {
+            const auto pid = sn::decode(record).pid;
+            ASSERT_GE(pid, 0);
+            ASSERT_LT(pid, kRecords);
+            lag_ns[pid] = since() - injected_ns[pid].load(std::memory_order_acquire);
+        }));
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    injector.join();
+    ASSERT_EQ(read, kRecords);
+    const auto worst = *std::max_element(lag_ns.begin(), lag_ns.end());
+    EXPECT_LT(worst, 50'000'000) << "a record became readable " << worst / 1'000'000
+                                 << " ms after its injection";
+}
+
+TEST(IngestServer, FailedBufferWriteCountsEveryLostRecord) {
+    namespace fp = siren::util::failpoint;
+    if (!fp::compiled_in()) {
+        GTEST_SKIP() << "build with -DSIREN_FAILPOINTS=ON for fault injection";
+    }
+    fp::clear();
+    struct ClearFailpoints {
+        ~ClearFailpoints() { fp::clear(); }
+    } clear_after;
+
+    TempDir dir;
+    siren::storage::SegmentStore store(dir.path(), 1);
+    si::IngestOptions options;
+    options.shards = 1;
+    options.store = &store;
+    si::IngestServer server(options, nullptr);
+
+    // Every append() accepts its record into the buffer; the worker's own
+    // later write of that buffer is what fails and loses them.
+    fp::activate("storage.segment.write", "error(28)");  // ENOSPC
+    constexpr std::uint64_t kRecords = 50;
+    const std::string wire = sn::encode(sample_message());
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+        while (!server.inject(0, wire)) std::this_thread::yield();
+    }
+    server.drain();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.stats().storage_errors < kRecords &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    fp::clear();
+    server.stop();
+
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.storage_errors, kRecords) << "every record the failed write lost";
+    EXPECT_EQ(stats.appended, 0u) << "a lost record is not journaled";
+    EXPECT_EQ(siren::storage::replay_directory(dir.path(), nullptr).records, 0u);
 }
 
 TEST(IngestServer, BackgroundCompactionRemovesSealedSegments) {

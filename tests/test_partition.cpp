@@ -67,7 +67,6 @@ bool eventually(const std::function<bool()>& done,
 sv::ServeOptions fast_options() {
     sv::ServeOptions options;
     options.feed_poll = std::chrono::milliseconds(2);
-    options.writer_idle = std::chrono::milliseconds(2);
     options.checkpoint_interval = std::chrono::milliseconds(0);
     options.publish_interval = std::chrono::milliseconds(0);
     return options;

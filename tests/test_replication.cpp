@@ -83,7 +83,6 @@ std::string file_hash_datagram(const sf::FuzzyDigest& digest, std::uint64_t job 
 sv::ServeOptions fast_options() {
     sv::ServeOptions options;
     options.feed_poll = std::chrono::milliseconds(2);
-    options.writer_idle = std::chrono::milliseconds(2);
     options.checkpoint_interval = std::chrono::milliseconds(0);
     return options;
 }

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/inotify.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -97,7 +99,6 @@ sv::Probe content_probe(const std::string& digest, std::size_t k = 1) {
 sv::ServeOptions fast_options() {
     sv::ServeOptions options;
     options.feed_poll = std::chrono::milliseconds(2);
-    options.writer_idle = std::chrono::milliseconds(2);
     options.checkpoint_interval = std::chrono::milliseconds(0);
     return options;
 }
@@ -361,6 +362,174 @@ TEST(RecognitionService, FeedsFromSegmentsAndFollows) {
     const auto match = service.identify(sf::fuzzy_hash(blob_b));
     ASSERT_TRUE(match.has_value());
     EXPECT_EQ(service.counters().feed_file_hashes, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Writer wake-ups: an eventfd for client calls, inotify on segments_dir,
+// feed_poll only as the fallback
+
+namespace {
+
+/// Wait up to `limit` for `done`; true when it held in time.
+bool eventually(std::chrono::milliseconds limit, const std::function<bool()>& done) {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!done()) {
+        if (std::chrono::steady_clock::now() >= deadline) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/// Whether this process can create an inotify instance right now (the
+/// per-user instance limit may be exhausted by other processes); without
+/// one the service follows its directory by the timed poll alone.
+bool inotify_available() {
+    const int fd = ::inotify_init1(IN_CLOEXEC);
+    if (fd < 0) return false;
+    ::close(fd);
+    return true;
+}
+
+/// Options whose timed feed poll never fires within a test.
+sv::ServeOptions push_only_options(const std::string& segments_dir) {
+    auto options = fast_options();
+    options.segments_dir = segments_dir;
+    options.feed_poll = std::chrono::seconds(60);
+    return options;
+}
+
+/// Process CPU burned while the calling thread sleeps for 500 ms.
+std::chrono::microseconds cpu_over_half_a_second() {
+    const auto before = listener_checks::cpu_time();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    return listener_checks::cpu_time() - before;
+}
+
+}  // namespace
+
+TEST(RecognitionService, SegmentAppendWakesTheWriterWithoutTheTimedPoll) {
+    if (!inotify_available()) GTEST_SKIP() << "no inotify instance available";
+    ScratchDir dir("push");
+    siren::storage::SegmentStore store(dir.path(), 1);
+    sv::RecognitionService service(push_only_options(dir.path()));
+    // Past the writer's first cycle, whose poll would find the record anyway.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    siren::util::Rng rng(47);
+    const auto digest = sf::fuzzy_hash(rng.bytes(8192));
+    store.append(0, file_hash_datagram(digest));
+    store.sync_all();
+    EXPECT_TRUE(eventually(std::chrono::seconds(1),
+                           [&] { return service.identify(digest).has_value(); }))
+        << "a record appended to segments_dir must not wait for the 60 s feed poll";
+}
+
+TEST(RecognitionService, BacklogBeyondFeedBatchMaxAppliesWithoutFurtherWrites) {
+    if (!inotify_available()) GTEST_SKIP() << "no inotify instance available";
+    ScratchDir dir("backlog");
+    siren::storage::SegmentStore store(dir.path(), 1);
+    auto options = push_only_options(dir.path());
+    options.feed_batch_max = 16;
+    sv::RecognitionService service(options);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    // One write() carries every record: a single directory change for
+    // three polls' worth of records.
+    siren::util::Rng rng(53);
+    constexpr std::uint64_t kRecords = 3 * 16;
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+        store.append(0, file_hash_datagram(sf::fuzzy_hash(rng.bytes(8192)), i));
+    }
+    store.sync_all();
+    EXPECT_TRUE(eventually(std::chrono::seconds(1), [&] {
+        return service.counters().feed_file_hashes == kRecords;
+    })) << "applied " << service.counters().feed_file_hashes << " of " << kRecords
+        << ": a poll that stopped at feed_batch_max must poll again at once";
+}
+
+TEST(RecognitionService, SegmentsDirCreatedAfterStartIsFollowedByTheFallbackPoll) {
+    ScratchDir dir("fallback");
+    const auto segments = dir.sub("not-yet");
+    auto options = fast_options();
+    options.segments_dir = segments;
+    options.feed_poll = std::chrono::milliseconds(20);
+    std::unique_ptr<sv::RecognitionService> service;
+    ASSERT_NO_THROW(service = std::make_unique<sv::RecognitionService>(options))
+        << "a directory inotify cannot watch yet is not an error";
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    siren::storage::SegmentStore store(segments, 1);
+    siren::util::Rng rng(59);
+    const auto first = sf::fuzzy_hash(rng.bytes(8192));
+    store.append(0, file_hash_datagram(first));
+    store.sync_all();
+    EXPECT_TRUE(eventually(std::chrono::seconds(2),
+                           [&] { return service->identify(first).has_value(); }));
+
+    // The fallback poll re-armed the watch: later appends keep arriving.
+    const auto second = sf::fuzzy_hash(rng.bytes(8192));
+    store.append(0, file_hash_datagram(second));
+    store.sync_all();
+    EXPECT_TRUE(eventually(std::chrono::seconds(2),
+                           [&] { return service->identify(second).has_value(); }));
+}
+
+TEST(RecognitionService, IdleWriterSleeps) {
+    {
+        sv::RecognitionService service(fast_options());
+        const auto burned = cpu_over_half_a_second();
+        EXPECT_LT(burned.count(), 50'000)
+            << "a service without segments_dir burned " << burned.count() / 1000
+            << " ms of CPU in 500 idle ms";
+    }
+    ScratchDir dir("idle");
+    siren::storage::SegmentStore store(dir.path(), 1);
+    auto options = fast_options();
+    options.segments_dir = dir.path();
+    options.feed_poll = std::chrono::milliseconds(20);
+    sv::RecognitionService service(options);
+    const auto burned = cpu_over_half_a_second();
+    EXPECT_LT(burned.count(), 50'000) << "a service following segments_dir burned "
+                                      << burned.count() / 1000 << " ms of CPU in 500 idle ms";
+}
+
+TEST(RecognitionService, IdleWriterKeepsItsCheckpointTimer) {
+    ScratchDir dir("timer");
+    auto options = fast_options();
+    options.checkpoint_path = dir.sub("registry.ckpt");
+    options.checkpoint_interval = std::chrono::milliseconds(50);
+    sv::RecognitionService service(options);
+    EXPECT_TRUE(eventually(std::chrono::seconds(2),
+                           [&] { return service.counters().checkpoints >= 2; }))
+        << "an idle writer must still wake for the periodic checkpoint";
+}
+
+TEST(RecognitionService, FailingPublishRetriesWithoutSpinning) {
+    namespace fp = siren::util::failpoint;
+    if (!fp::compiled_in()) {
+        GTEST_SKIP() << "build carries no failpoint hooks (SIREN_FAILPOINTS=OFF)";
+    }
+    fp::clear();
+    struct ClearFailpoints {
+        ~ClearFailpoints() { fp::clear(); }
+    } clear_after;
+    sv::RecognitionService service(fast_options());
+    siren::util::Rng rng(61);
+    const auto digest = sf::fuzzy_hash(rng.bytes(8192));
+
+    fp::activate("serve.publish.copy", "error(5)");
+    ASSERT_TRUE(service.observe(digest, "pending").has_value());
+    ASSERT_TRUE(eventually(std::chrono::seconds(2),
+                           [&] { return service.counters().publish_errors > 0; }));
+    const auto burned = cpu_over_half_a_second();
+    EXPECT_LT(burned.count(), 50'000)
+        << "a writer retrying a failing publish burned " << burned.count() / 1000
+        << " ms of CPU in 500 ms";
+    EXPECT_FALSE(service.identify(digest).has_value()) << "no publish got through";
+
+    fp::clear();
+    service.flush();
+    EXPECT_TRUE(service.identify(digest).has_value()) << "the retry publishes once it can";
 }
 
 // ---------------------------------------------------------------------------

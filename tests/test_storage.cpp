@@ -85,6 +85,18 @@ TEST(Segment, SyncIsVisibleWithoutClose) {
     EXPECT_EQ(collect_records(dir.path()).size(), 10u);
 }
 
+TEST(Segment, FlushMakesRecordsReadableWithoutFsync) {
+    StoreDir dir;
+    st::SegmentWriter writer(dir.path(), "t-");
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(writer.append(record(i)));
+    EXPECT_EQ(collect_records(dir.path()).size(), 0u) << "still in the user-space buffer";
+    EXPECT_TRUE(writer.flush());
+    EXPECT_EQ(collect_records(dir.path()).size(), 10u);
+    EXPECT_EQ(writer.syncs(), 0u) << "flush() writes, it does not fsync";
+    EXPECT_GT(writer.unsynced_bytes(), 0u);
+    EXPECT_TRUE(writer.flush()) << "an empty buffer is a successful no-op";
+}
+
 // The crash-recovery workflow: restart a writer on the same durable
 // directory. It must resume the sequence AFTER the previous run's segments
 // (never truncate them — that is exactly the data the store promises
@@ -508,6 +520,34 @@ TEST_F(SegmentFailpoints, WriteFailureAbandonsSegmentAndKeepsPriorRecords) {
     EXPECT_EQ(records[2], record(2));
     EXPECT_EQ(records[3], record(4)) << "the dropped record is gone, later ones survive";
     EXPECT_EQ(stats.segments, 2u);
+}
+
+TEST_F(SegmentFailpoints, FailedWriteCountsTheAcceptedRecordsItDropped) {
+    StoreDir dir;
+    st::SegmentWriter writer(dir.path(), "t-");  // 256 KiB buffer: appends stay buffered
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(writer.append(record(i)));
+
+    fp::activate("storage.segment.write", "error(28)");  // ENOSPC
+    EXPECT_FALSE(writer.flush());
+    EXPECT_EQ(writer.dropped_records(), 5u)
+        << "every buffered record append() reported as accepted is lost";
+    for (int i = 5; i < 8; ++i) ASSERT_TRUE(writer.append(record(i)));
+    writer.sync();
+    EXPECT_EQ(writer.dropped_records(), 8u) << "sync()'s failed write counts its records too";
+
+    // A record whose own append() write fails is that append's false
+    // return; only the earlier accepted records join the count.
+    st::SegmentWriter small(dir.path(), "u-", unbuffered());
+    EXPECT_FALSE(small.append(record(8)));
+    EXPECT_EQ(small.dropped_records(), 0u);
+
+    fp::clear();
+    ASSERT_TRUE(writer.append(record(9)));
+    writer.sync();
+    EXPECT_EQ(writer.dropped_records(), 8u);
+    const auto records = collect_records(dir.path());
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0], record(9));
 }
 
 TEST_F(SegmentFailpoints, ShortWriteLeavesTornTailReplayRecovers) {

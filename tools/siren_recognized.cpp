@@ -15,7 +15,10 @@
 //     --threshold N        registry match threshold (default 60)
 //     --batch-threads N    fan-out pool for IDENTIFYB batches (default 0)
 //     --seconds S          run duration (default: until SIGINT/SIGTERM)
-//     --poll-ms MS         segment follow cadence (default 20)
+//     --poll-ms MS         fallback segment poll (default 20): the directory
+//                          is read when inotify reports a change in it, and
+//                          at least this often (NFS or Lustre, which report
+//                          no remote writes; the inotify instance limit)
 //     --publish-ms MS      min spacing between snapshot publishes (default 5;
 //                          amortizes the registry copy under write storms)
 //
